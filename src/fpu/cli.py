@@ -31,9 +31,9 @@ from typing import List, Optional, Sequence
 
 from . import gnvw, sequences
 from .errors import NumericalError, ValidationError
-from .operators import (EndPeriodicOperator, Operator, PeriodicBandOperator,
-                        StateVector, adjoint, apply_state, multiply,
-                        propagation, unitarity_residual)
+from .operators import (CHECK_TOL, EndPeriodicOperator, Operator,
+                        PeriodicBandOperator, StateVector, adjoint,
+                        apply_state, multiply, propagation, unitarity_residual)
 from .sequences import EventuallyPeriodicSeq
 
 
@@ -308,10 +308,11 @@ def _build_parser() -> _Parser:
     sub.add_argument("-o", "--output", nargs=1)
     sub = op.add_parser("apply", parents=[common])
     sub.add_argument("file")
-    sub.add_argument("--delta", type=int, default=None,
-                     help="apply to the basis state at this index")
-    sub.add_argument("--amp", nargs=3, action="append", default=None,
-                     metavar=("J", "RE", "IM"))
+    state = sub.add_mutually_exclusive_group()
+    state.add_argument("--delta", type=int, default=0,
+                       help="apply to the basis state at this index")
+    state.add_argument("--amp", nargs=3, action="append", default=None,
+                       metavar=("J", "RE", "IM"))
 
     seq = top.add_parser("seq", help="sequence commands").add_subparsers(
         dest="command", required=True)
@@ -350,6 +351,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_op(args, out: _Emitter) -> None:
     cmd = args.command
+    tol = args.tol if args.tol is not None else CHECK_TOL
     if cmd == "index":
         op = _load_operator(args.file)
         report = gnvw.index(op, args.tol if args.tol is not None else gnvw.INDEX_TOL)
@@ -361,7 +363,6 @@ def _cmd_op(args, out: _Emitter) -> None:
         out.emit("trace-check", report.trace_check)
     elif cmd == "check":
         op = _load_operator(args.file)
-        tol = args.tol if args.tol is not None else 1e-9
         residual = unitarity_residual(op)
         ok = residual <= tol
         out.emit("unitary", ok)
@@ -379,7 +380,6 @@ def _cmd_op(args, out: _Emitter) -> None:
                        [serialize_operator(adjoint(_load_operator(args.file)))])
     elif cmd == "decompose":
         op = _load_operator(args.file)
-        tol = args.tol if args.tol is not None else 1e-9
         result = gnvw.decompose(op, tol)
         out.emit("block-size", result.block_size)
         out.emit("residual", result.residual)
@@ -388,12 +388,10 @@ def _cmd_op(args, out: _Emitter) -> None:
                                           serialize_operator(result.w)])
     elif cmd == "retract":
         op = _load_operator(args.file)
-        tol = args.tol if args.tol is not None else 1e-9
         _write_outputs(out, args.output,
                        [serialize_operator(gnvw.retract_periodic(op, tol))])
     elif cmd == "factor":
         op = _load_operator(args.file)
-        tol = args.tol if args.tol is not None else 1e-9
         split = gnvw.factor_end_periodic(op, tol)
         out.emit("window", split.window)
         out.emit("residual", split.residual)
@@ -422,7 +420,7 @@ def _cmd_op(args, out: _Emitter) -> None:
                         f"got {j!r} {re!r} {im!r}")
             psi = StateVector(amps)
         else:
-            psi = StateVector.delta(args.delta if args.delta is not None else 0)
+            psi = StateVector.delta(args.delta)
         result = apply_state(op, psi)
         for j in result.support():
             v = result[j]

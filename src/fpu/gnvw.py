@@ -17,7 +17,7 @@ retraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 from typing import Dict, Optional
 
 import numpy as np
@@ -25,20 +25,17 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .matutil import haar_unitary, polar_unitary, unitary_defect
 from .operators import (CHECK_TOL, EndPeriodicOperator, Operator,
-                        PeriodicBandOperator, _as_end_periodic, adjoint,
+                        PeriodicBandOperator, _collapse, adjoint,
                         block_diagonal, corner_data, delta_embed, embed_finite,
                         identity, make_shift, max_entry_difference, multiply,
-                        propagation, require_unitary, unitarity_residual)
+                        propagation, require_unitary, unitarity_residual,
+                        window)
 
 # default acceptance tolerance on the index integer deviation
 INDEX_TOL = 1e-6
 # blocks whose unitarity defect is in (SNAP_TOL, HARD_TOL] get polar-projected
 SNAP_TOL = 1e-12
 HARD_TOL = 1e-6
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -78,8 +75,8 @@ class EndPeriodicSplit:
 
 
 def index(op: Operator, tol: float = INDEX_TOL) -> IndexReport:
-    """Compute the index with corner sums, cross-checked against the trace
-    of P - U* P U; rejects inputs whose raw value is not near an integer."""
+    """Index from the corner sums; raises NumericalError unless the raw value
+    lies within tol of an integer and of the trace of P - U* P U."""
     cd = corner_data(op)
     hs_mp = float(np.sum(np.abs(cd.minus_plus) ** 2))
     hs_pm = float(np.sum(np.abs(cd.plus_minus) ** 2))
@@ -88,15 +85,19 @@ def index(op: Operator, tol: float = INDEX_TOL) -> IndexReport:
     deviation = abs(raw - rounded)
 
     k = max(op.prop_bound(), getattr(op, "patch_radius", 0), 1)
-    trace = 0.0
-    for j in range(-k, k):
-        col = sum(abs(op.entry(i, j)) ** 2
-                  for i in range(max(0, j - k), j + k + 1))
-        trace += (1.0 if j >= 0 else 0.0) - col
+    # trace of P - U* P U summed in sequence, down rows 0 .. j + k of each
+    # column j, then across columns; hypot and float_power round like abs and **
+    u = window(op, np.arange(2 * k)[:, None], np.arange(-k, k))
+    columns = np.diagonal(np.cumsum(np.float_power(np.hypot(u.real, u.imag), 2), axis=0))
+    trace = float(np.cumsum((np.arange(-k, k) >= 0) - columns)[-1])
 
     if deviation > tol:
         raise NumericalError(
             f"index {raw!r} deviates from an integer by {deviation:.3e} "
+            f"(tolerance {tol:.3e}); input is not a clean banded unitary")
+    if abs(trace - raw) > tol:
+        raise NumericalError(
+            f"trace check {trace!r} disagrees with the corner index {raw!r} "
             f"(tolerance {tol:.3e}); input is not a clean banded unitary")
     return IndexReport(raw=raw, rounded=rounded, deviation=deviation,
                        hs_minus_plus=hs_mp, hs_plus_minus=hs_pm,
@@ -132,17 +133,14 @@ def _projection_window(op: Operator, half: int) -> np.ndarray:
     """Compression of U* P U to the window [-half, half), P the projection
     onto indices >= 0.  Entry (r, c) is sum_{k>=0} conj(U[k, -half+r]) U[k, -half+c]."""
     reach = max(op.prop_bound(), getattr(op, "patch_radius", 0))
-    cols = np.zeros((half + reach, 2 * half), dtype=complex)
-    for k in range(0, half + reach):
-        for c in range(2 * half):
-            cols[k, c] = op.entry(k, -half + c)
+    cols = window(op, np.arange(half + reach)[:, None], np.arange(-half, half))
     return cols.conj().T @ cols
 
 
 def _block_scale(op: Operator) -> int:
     """Block half-size for the factorization: a common multiple of the
     propagation and the period, at least the patch radius."""
-    base = _lcm(max(propagation(op), 1), op.period)
+    base = lcm(max(propagation(op), 1), op.period)
     radius = getattr(op, "patch_radius", 0)
     scale = base
     while scale < radius:
@@ -150,34 +148,18 @@ def _block_scale(op: Operator) -> int:
     return scale
 
 
-def _window_block(op: Operator, start: int, size: int) -> np.ndarray:
-    out = np.zeros((size, size), dtype=complex)
-    for r in range(size):
-        for c in range(size):
-            out[r, c] = op.entry(start + r, start + c)
-    return out
-
-
 def _pattern_leakage(op: Operator, block: int) -> float:
     """Largest entry magnitude outside the block-diagonal pattern aligned at 0."""
-    reach = op.prop_bound()
-
-    def row_leak(source: Operator, i: int) -> float:
-        lo = (i // block) * block
-        worst = 0.0
-        for j in range(i - reach, i + reach + 1):
-            if not lo <= j < lo + block:
-                worst = max(worst, abs(source.entry(i, j)))
-        return worst
-
     if isinstance(op, PeriodicBandOperator):
         if block % op.period:
             raise ValidationError("block size must be a multiple of the period")
-        return max((row_leak(op, i) for i in range(block)), default=0.0)
-    worst = _pattern_leakage(op.background, block)
-    for i in range(-op.patch_radius, op.patch_radius):
-        worst = max(worst, row_leak(op, i))
-    return worst
+        worst, rows = 0.0, np.arange(block)[:, None]
+    else:
+        worst = _pattern_leakage(op.background, block)
+        rows = np.arange(-op.patch_radius, op.patch_radius)[:, None]
+    cols = rows + np.arange(-op.prop_bound(), op.prop_bound() + 1)
+    leaks = np.abs(window(op, rows, cols))[cols // block != rows // block]
+    return max(worst, float(leaks.max(initial=0.0)))
 
 
 def _snap_block(m: np.ndarray) -> np.ndarray:
@@ -222,16 +204,18 @@ def decompose(op: Operator, tol: float = 1e-9) -> DecompositionResult:
         raise NumericalError(
             f"off-block leakage {leakage:.3e} exceeds tolerance {tol:.3e}")
 
+    idx = np.arange(block)
     if isinstance(v_raw, PeriodicBandOperator):
         if block % v_raw.period:
             raise NumericalError("product period does not fit the block grid")
-        v_op = block_diagonal(0, block, _snap_block(_window_block(v_raw, 0, block)))
+        v_op = block_diagonal(0, block, _snap_block(window(v_raw, idx[:, None], idx)))
     else:
-        bg_block = _snap_block(_window_block(v_raw.background, 0, block))
+        bg_block = _snap_block(window(v_raw.background, idx[:, None], idx))
         radius = v_raw.patch_radius
         central: Dict[int, np.ndarray] = {}
         for m in range((-radius) // block, -((-radius) // block)):
-            central[m] = _snap_block(_window_block(v_raw, m * block, block))
+            at = m * block + idx
+            central[m] = _snap_block(window(v_raw, at[:, None], at))
         v_op = block_diagonal(0, block, bg_block, central=central)
 
     residual = max_entry_difference(multiply(v_op, w_op), op)
@@ -263,17 +247,14 @@ def factor_end_periodic(op: Operator, tol: float = CHECK_TOL) -> EndPeriodicSpli
     the identity and the periodic part the background retraction."""
     require_unitary(op, max(tol, CHECK_TOL))
     periodic_part = retract_periodic(op, tol)
-    raw = _as_end_periodic(multiply(op, adjoint(periodic_part)))
+    raw = multiply(op, adjoint(periodic_part))
 
-    bg_dev = max_entry_difference(raw.background, identity())
+    bg_dev = max_entry_difference(getattr(raw, "background", raw), identity())
     if bg_dev > tol:
         raise NumericalError(
             f"finite part fails to settle to the identity (deviation {bg_dev:.3e})")
-    radius = raw.patch_radius
-    patch = {(i, j): raw.entry(i, j)
-             for i in range(-radius, radius) for j in range(-radius, radius)}
-    finite = EndPeriodicOperator(identity(), radius, patch)
-    finite_part: Operator = finite.background if finite.patch_radius == 0 else finite
+    finite_part = _collapse(EndPeriodicOperator(
+        identity(), getattr(raw, "patch_radius", 0), getattr(raw, "patch", {})))
 
     residual = max_entry_difference(multiply(finite_part, periodic_part), op)
     if residual > tol:

@@ -15,8 +15,9 @@ structure (indices, periods, radii) is integer.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -29,8 +30,11 @@ ZERO_TOL = 1e-12
 CHECK_TOL = 1e-9
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+def _finite(v) -> complex:
+    v = complex(v)
+    if not cmath.isfinite(v):
+        raise ValidationError(f"entry value {v} is not finite")
+    return v
 
 
 class PeriodicBandOperator:
@@ -61,7 +65,7 @@ class PeriodicBandOperator:
                 raise ValidationError(f"row index {i} outside period range [0, {period})")
             if abs(d) > band:
                 raise ValidationError(f"diagonal offset {d} violates band {band}")
-            v = complex(v)
+            v = _finite(v)
             if abs(v) > ZERO_TOL:
                 clean[(i, d)] = v
         object.__setattr__(self, "period", period)
@@ -128,11 +132,13 @@ class EndPeriodicOperator:
             if not (-radius <= i < radius and -radius <= j < radius):
                 raise ValidationError(
                     f"patch entry ({i}, {j}) outside window [-{radius}, {radius})")
-            v = complex(v)
+            v = _finite(v)
             if abs(v) > ZERO_TOL:
                 clean[(i, j)] = v
-        radius, clean = _shrink_patch(background, radius, clean)
         object.__setattr__(self, "background", background)
+        object.__setattr__(self, "patch_radius", radius)
+        object.__setattr__(self, "patch", clean)
+        radius, clean = _shrink_patch(self)
         object.__setattr__(self, "patch_radius", radius)
         object.__setattr__(self, "patch", clean)
 
@@ -176,27 +182,57 @@ class EndPeriodicOperator:
 Operator = Union[PeriodicBandOperator, EndPeriodicOperator]
 
 
-def _shrink_patch(background, radius, patch):
-    """Drop outer rings of the patch window that match the background."""
-    while radius > 0:
-        ring = []
-        lo, hi = -radius, radius - 1
-        for k in range(-radius, radius):
-            ring.extend([(lo, k), (hi, k), (k, lo), (k, hi)])
-        if all(abs(patch.get(cell, 0j) - background.entry(*cell)) <= ZERO_TOL
-               for cell in ring):
-            radius -= 1
-            patch = {cell: v for cell, v in patch.items()
-                     if -radius <= cell[0] < radius and -radius <= cell[1] < radius}
-        else:
-            break
-    return radius, patch
+def window(op: Operator, rows, cols) -> np.ndarray:
+    """Dense entries op[rows, cols] of integer index arrays broadcast as in
+    numpy indexing; window(op, rows[:, None], cols) is the rectangle.
+
+    The one place that reads the entries/patch storage: a lookup in a
+    (period, 2*band + 2) table of the background's diagonals, overridden
+    inside the patch window by the patch, where absent keys read as zero.
+    """
+    bg = op.background if isinstance(op, EndPeriodicOperator) else op
+    # offsets index the table as in numpy, negative ones from the end, so every
+    # offset beyond the band clips onto the zero column band + 1
+    table = np.zeros((bg.period, 2 * bg.band + 2), dtype=complex)
+    for (i, d), v in bg.entries.items():
+        table[i, d] = v
+    out = table[rows % bg.period, np.clip(cols - rows, -bg.band - 1, bg.band + 1)]
+    r = getattr(op, "patch_radius", 0)
+    if r:
+        rows, cols = np.broadcast_arrays(rows, cols)
+        patch = np.zeros((2 * r, 2 * r), dtype=complex)
+        for (i, j), v in op.patch.items():
+            patch[i + r, j + r] = v
+        inside = (-r <= rows) & (rows < r) & (-r <= cols) & (cols < r)
+        out[inside] = patch[rows[inside] + r, cols[inside] + r]
+    return out
 
 
-def _as_end_periodic(op: Operator) -> EndPeriodicOperator:
-    if isinstance(op, EndPeriodicOperator):
-        return op
-    return EndPeriodicOperator(op, 0, {})
+def _shrink_patch(op: EndPeriodicOperator):
+    """Smallest patch window outside which op agrees with its background.
+
+    Cell (i, j) lies on ring max(i + 1, -i, j + 1, -j) of the window; the new
+    radius is the largest ring of any cell that differs from the background
+    by more than ZERO_TOL.  Only the stored cells and the background's band
+    can differ, so only those are read.
+    """
+    bg, diagonal = op.background, np.arange(-op.patch_radius, op.patch_radius)[:, None]
+    band = diagonal + np.arange(-bg.band, bg.band + 1)
+    keys = np.array(list(op.patch), dtype=np.int64).reshape(-1, 2)
+    rows = np.concatenate([np.broadcast_to(diagonal, band.shape).ravel(), keys[:, 0]])
+    cols = np.concatenate([band.ravel(), keys[:, 1]])
+    differs = np.abs(window(op, rows, cols) - window(bg, rows, cols)) > ZERO_TOL
+    ring = np.maximum.reduce([rows + 1, -rows, cols + 1, -cols])
+    radius = int(ring[differs].max(initial=0))
+    return radius, {(i, j): v for (i, j), v in op.patch.items()
+                    if max(i + 1, -i, j + 1, -j) <= radius}
+
+
+def _entries(dense: np.ndarray, row0: int, col0: int) -> Dict[Tuple[int, int], complex]:
+    """Storage dict of the nonzero cells of dense, its cell [0, 0] at (row0, col0)."""
+    rows, cols = np.nonzero(dense)
+    keys = zip((rows + row0).tolist(), (cols + col0).tolist())
+    return dict(zip(keys, dense[rows, cols].tolist()))
 
 
 def _collapse(op: EndPeriodicOperator) -> Operator:
@@ -266,16 +302,12 @@ def block_diagonal(k: int, block_size: int, repeating: np.ndarray,
         blocks[int(n)] = m
     radius = max(max(-(k + n * size), k + (n + 1) * size) for n in blocks)
     radius = max(radius, 1)
-    patch: Dict[Tuple[int, int], complex] = {}
-    for i in range(-radius, radius):
-        for j in range(-radius, radius):
-            patch[(i, j)] = bg.entry(i, j)
+    cells = np.arange(-radius, radius)
+    dense = window(bg, cells[:, None], cells)
     for n, m in blocks.items():
-        base = k + n * size
-        for r in range(size):
-            for c in range(size):
-                patch[(base + r, base + c)] = m[r, c]
-    return _collapse(EndPeriodicOperator(bg, radius, patch))
+        base = k + n * size + radius
+        dense[base:base + size, base:base + size] = m
+    return _collapse(EndPeriodicOperator(bg, radius, _entries(dense, -radius, -radius)))
 
 
 def embed_finite(matrix: np.ndarray) -> Operator:
@@ -300,19 +332,14 @@ def adjoint(op: Operator) -> Operator:
 
 def _multiply_periodic(a: PeriodicBandOperator,
                        b: PeriodicBandOperator) -> PeriodicBandOperator:
-    n = _lcm(a.period, b.period)
+    n = lcm(a.period, b.period)
     band = a.band + b.band
-    entries: Dict[Tuple[int, int], complex] = {}
-    for i in range(n):
-        for d in range(-band, band + 1):
-            j = i + d
-            acc = 0j
-            for k in range(max(i - a.band, j - b.band),
-                           min(i + a.band, j + b.band) + 1):
-                acc += a.entry(i, k) * b.entry(k, j)
-            if abs(acc) > ZERO_TOL:
-                entries[(i, d)] = acc
-    return PeriodicBandOperator(n, band, entries)
+    rows = np.arange(n)[:, None]
+    mid = np.arange(-a.band, n + a.band)  # every k a row of a reaches
+    product = window(a, rows, mid) @ window(b, mid[:, None], np.arange(-band, n + band))
+    # row i of product holds columns i - band .. i + band at i .. i + 2*band
+    diagonals = product[rows, rows + np.arange(2 * band + 1)]
+    return PeriodicBandOperator(n, band, _entries(diagonals, 0, -band))
 
 
 def multiply(a: Operator, b: Operator) -> Operator:
@@ -325,20 +352,14 @@ def multiply(a: Operator, b: Operator) -> Operator:
     """
     if isinstance(a, PeriodicBandOperator) and isinstance(b, PeriodicBandOperator):
         return _multiply_periodic(a, b)
-    ae, be = _as_end_periodic(a), _as_end_periodic(b)
-    bg = _multiply_periodic(ae.background, be.background)
-    pa = ae.prop_bound()
-    radius = (max(ae.patch_radius, be.patch_radius, 1)
-              + _lcm(ae.period, be.period) + pa + be.prop_bound())
-    window = range(-radius, radius)
-    mid = range(-radius - pa, radius + pa)  # covers every k a window row reaches
-    left = np.array([[ae.entry(i, k) for k in mid] for i in window])
-    right = np.array([[be.entry(k, j) for j in window] for k in mid])
-    product = left @ right
-    patch: Dict[Tuple[int, int], complex] = {
-        (i, j): product[i + radius, j + radius]
-        for i in window for j in window}
-    return _collapse(EndPeriodicOperator(bg, radius, patch))
+    bg = _multiply_periodic(getattr(a, "background", a), getattr(b, "background", b))
+    pa = a.prop_bound()
+    radius = (max(getattr(a, "patch_radius", 0), getattr(b, "patch_radius", 0), 1)
+              + lcm(a.period, b.period) + pa + b.prop_bound())
+    cells = np.arange(-radius, radius)
+    mid = np.arange(-radius - pa, radius + pa)  # every k a window row reaches
+    product = window(a, cells[:, None], mid) @ window(b, mid[:, None], cells)
+    return _collapse(EndPeriodicOperator(bg, radius, _entries(product, -radius, -radius)))
 
 
 def propagation(op: Operator, tol: float = 0.0) -> int:
@@ -359,18 +380,16 @@ def propagation(op: Operator, tol: float = 0.0) -> int:
 def max_entry_difference(a: Operator, b: Operator) -> float:
     """sup |a_ij - b_ij|, evaluated over a window wide enough to witness it.
 
-    The window covers both patches, the rows their bands reach, and one full
-    common background period beyond; everything outside repeats rows inside.
+    The rows cover both patch windows and one full common background period
+    beyond on each side; every row outside the patch windows is a background
+    row, so it repeats a row inside.  Each row spans both bands.
     """
-    ae, be = _as_end_periodic(a), _as_end_periodic(b)
-    prop = max(ae.prop_bound(), be.prop_bound(), 1)
-    reach = (max(ae.patch_radius, be.patch_radius) + prop
-             + _lcm(ae.period, be.period))
-    worst = 0.0
-    for i in range(-reach, reach):
-        for j in range(i - prop, i + prop + 1):
-            worst = max(worst, abs(ae.entry(i, j) - be.entry(i, j)))
-    return worst
+    prop = max(a.prop_bound(), b.prop_bound(), 1)
+    reach = (max(getattr(a, "patch_radius", 0), getattr(b, "patch_radius", 0))
+             + lcm(a.period, b.period))
+    rows = np.arange(-reach, reach)[:, None]
+    cols = rows + np.arange(-prop, prop + 1)
+    return float(np.max(np.abs(window(a, rows, cols) - window(b, rows, cols))))
 
 
 def operators_close(a: Operator, b: Operator, tol: float = CHECK_TOL) -> bool:
@@ -407,13 +426,9 @@ class CornerData:
 
 def corner_data(op: Operator) -> CornerData:
     k = max(op.prop_bound(), getattr(op, "patch_radius", 0))
-    mp = np.zeros((k, k), dtype=complex)
-    pm = np.zeros((k, k), dtype=complex)
-    for r in range(k):
-        for c in range(k):
-            mp[r, c] = op.entry(-k + r, c)
-            pm[r, c] = op.entry(r, -k + c)
-    return CornerData(minus_plus=mp, plus_minus=pm, size=k)
+    minus, plus = np.arange(-k, 0), np.arange(k)
+    return CornerData(minus_plus=window(op, minus[:, None], plus),
+                      plus_minus=window(op, plus[:, None], minus), size=k)
 
 
 # -- states --------------------------------------------------------------------
@@ -454,8 +469,8 @@ def apply_state(op: Operator, psi: StateVector) -> StateVector:
     reach = max(op.prop_bound(), getattr(op, "patch_radius", 0))
     out: Dict[int, complex] = {}
     for j, v in psi.amplitudes.items():
-        for i in range(j - reach, j + reach + 1):
-            w = op.entry(i, j)
+        rows = range(j - reach, j + reach + 1)
+        for i, w in zip(rows, window(op, np.asarray(rows), j).tolist()):
             if w != 0:
                 out[i] = out.get(i, 0j) + w * v
     return StateVector(out)

@@ -14,14 +14,10 @@ and an exact division algorithm producing (b, c) with a - n*b = (1-S)c and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Optional
 
 from .errors import ValidationError
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _minimal_period(word: tuple[int, ...]) -> int:
@@ -104,8 +100,8 @@ class EventuallyPeriodicSeq:
                  op: Callable[[int, int], int]) -> "EventuallyPeriodicSeq":
         lo = min(self.offset, other.offset)
         hi = max(self.core_end, other.core_end)
-        pl = _lcm(len(self.left), len(other.left))
-        pr = _lcm(len(self.right), len(other.right))
+        pl = lcm(len(self.left), len(other.left))
+        pr = lcm(len(self.right), len(other.right))
         return from_window(lambda j: op(self.at(j), other.at(j)), lo, hi, pl, pr)
 
     def add(self, other: "EventuallyPeriodicSeq") -> "EventuallyPeriodicSeq":
@@ -160,8 +156,8 @@ class EventuallyPeriodicSeq:
             return self.at(j) + self.at(j + 1) + self.at(j + 2)
         lo = 3 * (self.offset // 3 - 1)
         hi = 3 * (-(-self.core_end // 3) + 1)
-        pl = _lcm(3, len(self.left))
-        pr = _lcm(3, len(self.right))
+        pl = lcm(3, len(self.left))
+        pr = lcm(3, len(self.right))
         return from_window(val, lo, hi, pl, pr)
 
     def __add__(self, other):
@@ -205,7 +201,7 @@ def _canonicalize(left, offset, core, right):
     def lcont(j):  # left-periodic continuation
         return left[(j - offset) % dl]
 
-    m = _lcm(dl, dr)
+    m = lcm(dl, dr)
 
     # largest suffix [h_min, inf) on which a agrees with its right continuation
     j = end - 1
@@ -308,8 +304,8 @@ def beta_interleave(a: EventuallyPeriodicSeq,
         return a.at(j // 2) if j % 2 == 0 else b.at((j - 1) // 2)
     lo = 2 * min(a.offset, b.offset) - 2
     hi = 2 * max(a.core_end, b.core_end) + 2
-    pl = 2 * _lcm(len(a.left), len(b.left))
-    pr = 2 * _lcm(len(a.right), len(b.right))
+    pl = 2 * lcm(len(a.left), len(b.left))
+    pr = 2 * lcm(len(a.right), len(b.right))
     return from_window(val, lo, hi, pl, pr)
 
 

@@ -1,8 +1,13 @@
 """CLI contract tests: exit codes, golden files, round trips, determinism."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import fpu
 
 from fpu.cli import (parse_operator_text, parse_seq_text, run_command,
                      serialize_operator, serialize_seq)
@@ -120,6 +125,47 @@ def test_decompose_shift_exits_two_with_message():
     result = run_command(["op", "decompose", fixture("shift1.op")])
     assert result.exit_code == 2
     assert "nonzero index" in result.stderr
+
+
+def test_index_trace_mismatch_exits_two():
+    # the zero operator has corner index 0 but trace of P - U* P U equal to 1
+    result = run_command(["op", "index", fixture("zero.op")])
+    assert result.exit_code == 2
+    assert "trace check" in result.stderr
+
+
+@pytest.mark.parametrize("command, radius, body", [
+    ("check", 0, "bg 0 0 1.0 0.0\nbg 0 1 nan 0.0"),  # was: unitary true
+    ("index", 0, "bg 0 1 1.0 0.0\nbg 0 0 inf 0.0"),  # was: index 1
+    ("check", 1, "bg 0 0 1.0 0.0\npatch 0 0 0.0 -inf"),
+], ids=["nan-bg", "inf-bg", "inf-patch"])
+def test_non_finite_entries_exit_one(tmp_path, command, radius, body):
+    path = tmp_path / "u.op"
+    path.write_text(
+        f"FPUOP 1\nperiod 1\nband 1\npatch-radius {radius}\n{body}\nEND\n")
+    result = run_command(["op", command, str(path)])
+    assert result.exit_code == 1
+    assert "not finite" in result.stderr
+
+
+def test_apply_delta_and_amp_are_exclusive():
+    result = run_command(["op", "apply", fixture("swap.op"), "--delta", "1",
+                          "--amp", "0", "1.0", "0.0"])
+    assert result.exit_code == 1
+    assert "not allowed" in result.stderr
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(pathlib.Path(fpu.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, code in (("shift1.op", 0), ("zero.op", 2)):
+        argv = ["op", "index", fixture(name)]
+        proc = subprocess.run([sys.executable, "-m", "fpu", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        expected = run_command(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, expected.stdout, expected.stderr)
 
 
 def test_index_shift_reports_one():

@@ -10,7 +10,7 @@ from fpu.operators import (EndPeriodicOperator, PeriodicBandOperator,
                            StateVector, adjoint, apply_state, block_diagonal,
                            corner_data, delta_embed, embed_finite, identity,
                            make_periodic, make_shift, max_entry_difference,
-                           multiply, propagation, unitarity_residual)
+                           multiply, propagation, unitarity_residual, window)
 
 from conftest import dense_window
 
@@ -166,9 +166,55 @@ def test_patch_agreeing_with_background_shrinks_away():
     assert padded == s
 
 
+def test_patch_interior_deviation_shrinks_to_its_ring():
+    # only (1, 0) differs from the identity; row 1 lies on ring 2, so the
+    # window shrinks from [-4, 4) to [-2, 2)
+    padded = {(i, i): 1.0 for i in range(-4, 4)}
+    padded[(1, 0)] = 0.5
+    op = EndPeriodicOperator(identity(), 4, padded)
+    assert op.patch_radius == 2
+    assert op.patch == {(-2, -2): 1.0, (-1, -1): 1.0, (0, 0): 1.0, (1, 1): 1.0,
+                        (1, 0): 0.5}
+
+
 def test_patch_out_of_window_rejected():
     with pytest.raises(ValidationError):
         EndPeriodicOperator(identity(), 1, {(1, 0): 0.5})
+
+
+# -- dense window -------------------------------------------------------------------
+
+def random_storage_operator(rng, end_periodic):
+    """Arbitrary (not unitary) entries, some absent, to exercise the storage."""
+    period, band = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+    entries = {(i, d): complex(*rng.standard_normal(2))
+               for i in range(period) for d in range(-band, band + 1)
+               if rng.random() < 0.7}
+    op = PeriodicBandOperator(period, band, entries)
+    if not end_periodic:
+        return op
+    radius = int(rng.integers(1, 5))
+    patch = {(i, j): complex(*rng.standard_normal(2))
+             for i in range(-radius, radius) for j in range(-radius, radius)
+             if rng.random() < 0.5}
+    return EndPeriodicOperator(op, radius, patch)
+
+
+@pytest.mark.parametrize("end_periodic", [False, True])
+def test_window_matches_scalar_oracle(rng, end_periodic):
+    for _ in range(25):
+        op = random_storage_operator(rng, end_periodic)
+        # from below 0, across the patch edge, to past the band
+        reach = getattr(op, "patch_radius", 0) + op.prop_bound() + op.period + 2
+        lo, hi = -reach, reach + 1
+        oracle = dense_window(op, lo, hi)
+        cells = np.arange(lo, hi)
+        assert np.array_equal(window(op, cells[:, None], cells), oracle)
+        rows, cols = cells[3:-5], cells[1:-2]
+        assert np.array_equal(window(op, rows[:, None], cols), oracle[3:-5, 1:-2])
+        r = (rows - lo)[:, None]  # a band of offsets -1 .. 2 around each row
+        at = r + np.arange(-1, 3)
+        assert np.array_equal(window(op, rows[:, None], at + lo), oracle[r, at])
 
 
 # -- products ----------------------------------------------------------------------
