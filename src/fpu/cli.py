@@ -136,8 +136,6 @@ def parse_seq_text(text: str) -> EventuallyPeriodicSeq:
             raise ValidationError(f"line {lineno}: unknown directive {key!r}")
     if left is None or core is None or right is None:
         raise ValidationError("sequence file needs left, core and right lines")
-    if not left or not right:
-        raise ValidationError("tail period lists must be nonempty")
     return EventuallyPeriodicSeq(left, offset, core, right)
 
 
@@ -260,8 +258,6 @@ def _write_outputs(out: _Emitter, paths: Optional[Sequence[str]],
         for text in texts:
             out.emit_text(text)
         return
-    if len(paths) != len(texts):
-        raise ValidationError(f"expected {len(texts)} output path(s)")
     for path, text in zip(paths, texts):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -345,6 +341,9 @@ def _build_parser() -> _Parser:
     sub.add_argument("n", type=int)
     sub.add_argument("-o", "--output", nargs=2, metavar=("B", "C"))
     return parser
+
+
+_PARSER = _build_parser()
 
 
 # -- command handlers -----------------------------------------------------------
@@ -460,10 +459,9 @@ def _cmd_seq(args, out: _Emitter) -> None:
 
 
 def run_command(argv: Sequence[str]) -> CommandResult:
-    parser = _build_parser()
     out = _Emitter(porcelain=False)
     try:
-        args = parser.parse_args(list(argv))
+        args = _PARSER.parse_args(list(argv))
         out = _Emitter(porcelain=getattr(args, "porcelain", False))
         if args.group == "op":
             _cmd_op(args, out)

@@ -155,6 +155,25 @@ def test_apply_delta_and_amp_are_exclusive():
     assert "not allowed" in result.stderr
 
 
+def test_parser_keeps_no_state_between_commands():
+    argv = ["op", "apply", fixture("swap.op"),
+            "--amp", "0", "1.0", "0.0", "--amp", "1", "0.0", "1.0"]
+    first = run_command(argv)
+    assert first.exit_code == 0
+    assert first.stdout == "state 0 0.0 1.0\nstate 1 1.0 0.0\n"
+    assert run_command(argv) == first  # --amp appends into a fresh list
+    assert run_command(["op", "apply", fixture("swap.op"), "--delta"]).exit_code == 1
+    assert run_command(argv) == first
+
+
+def test_seq_bare_tail_line_exits_one(tmp_path):
+    path = tmp_path / "a.seq"
+    path.write_text("EPSEQ 1\nleft\ncore 0\nright 1\nEND\n")
+    result = run_command(["seq", "reduce3", str(path)])
+    assert result.exit_code == 1
+    assert result.stderr == "error: tail period lists must be nonempty\n"
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(pathlib.Path(fpu.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

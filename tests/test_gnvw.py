@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from fpu.errors import NumericalError, ValidationError
-from fpu.gnvw import (conjugating_unitary, decompose, factor_end_periodic,
-                      index, retract_periodic, synth_random)
+from fpu.gnvw import (_pattern_leakage, conjugating_unitary, decompose,
+                      factor_end_periodic, index, retract_periodic, synth_random)
 from fpu.matutil import haar_unitary
 from fpu.operators import (EndPeriodicOperator, PeriodicBandOperator,
                            adjoint, block_diagonal, delta_embed, embed_finite,
                            identity, make_periodic, make_shift,
                            max_entry_difference, multiply, operators_close,
                            unitarity_residual)
+
+from conftest import dense_window
+from test_operators import random_storage_operator
 
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -196,6 +199,32 @@ def test_decompose_large_block_grid():
     result = decompose(op)
     assert result.block_size == 24
     check_decomposition(op, result)
+
+
+@pytest.mark.parametrize("end_periodic", [False, True])
+def test_pattern_leakage_matches_scalar_oracle(rng, end_periodic):
+    for _ in range(12):
+        op = random_storage_operator(rng, end_periodic)
+        radius, reach = getattr(op, "patch_radius", 0), op.prop_bound()
+        for periods in (1, 2, 6):
+            block = periods * op.period
+            # rows two blocks beyond the patch on each side, every column they reach
+            lo, hi = -radius - 2 * block, radius + 2 * block
+            dense = dense_window(op, lo - reach, hi + reach)[reach:reach + hi - lo]
+            cells = np.arange(lo - reach, hi + reach)
+            off = cells[None, :] // block != np.arange(lo, hi)[:, None] // block
+            expected = float(np.abs(dense[off]).max(initial=0.0))
+            assert _pattern_leakage(op, block) == expected
+
+
+def test_decompose_wrapped_periodic_matches_periodic(rng):
+    for _ in range(4):
+        op = synth_random(0, int(rng.integers(1, 4)), int(rng.integers(1, 4)), 0,
+                          seed=int(rng.integers(0, 2 ** 32)))
+        plain, wrapped = decompose(op), decompose(EndPeriodicOperator(op, 0, {}))
+        assert wrapped.block_size == plain.block_size
+        assert operators_close(wrapped.v, plain.v)
+        assert operators_close(wrapped.w, plain.w)
 
 
 def test_index_invariant_under_retraction(rng):
