@@ -60,14 +60,11 @@ def serialize_seq(seq: EventuallyPeriodicSeq) -> str:
 
 
 def serialize_operator(op: Operator) -> str:
-    if isinstance(op, EndPeriodicOperator):
-        background, radius, patch = op.background, op.patch_radius, op.patch
-    else:
-        background, radius, patch = op, 0, {}
+    background, patch = op.background, op.patch
     lines = ["FPUOP 1",
              f"period {background.period}",
              f"band {background.band}",
-             f"patch-radius {radius}"]
+             f"patch-radius {op.patch_radius}"]
     for (i, d) in sorted(background.entries):
         v = background.entries[(i, d)]
         lines.append(f"bg {i} {d} {_fmt_float(v.real)} {_fmt_float(v.imag)}")
@@ -265,7 +262,8 @@ def _write_outputs(out: _Emitter, paths: Optional[Sequence[str]],
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="fpu", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="fpu",
+                     description="Command line interface and text file formats.")
     common = _Parser(add_help=False)
     common.add_argument("--porcelain", action="store_true",
                         help="machine-parseable one-value-per-line output")
@@ -368,7 +366,7 @@ def _cmd_op(args, out: _Emitter) -> None:
         out.emit("residual", residual)
         out.emit("propagation", propagation(op))
         out.emit("period", op.period)
-        out.emit("patch-radius", getattr(op, "patch_radius", 0))
+        out.emit("patch-radius", op.patch_radius)
         if not ok:
             raise NumericalError(f"unitarity residual {residual:.3e} > {tol:.3e}")
     elif cmd == "mul":
@@ -404,7 +402,7 @@ def _cmd_op(args, out: _Emitter) -> None:
         out.emit("index", report.rounded)
         out.emit("period", op.period)
         out.emit("propagation", propagation(op))
-        out.emit("patch-radius", getattr(op, "patch_radius", 0))
+        out.emit("patch-radius", op.patch_radius)
         _write_outputs(out, args.output, [serialize_operator(op)])
     elif cmd == "apply":
         op = _load_operator(args.file)

@@ -71,7 +71,7 @@ class EndPeriodicSplit:
 
     @property
     def window(self) -> int:
-        return getattr(self.finite_part, "patch_radius", 0)
+        return self.finite_part.patch_radius
 
 
 def index(op: Operator, tol: float = INDEX_TOL) -> IndexReport:
@@ -84,7 +84,7 @@ def index(op: Operator, tol: float = INDEX_TOL) -> IndexReport:
     rounded = int(round(raw))
     deviation = abs(raw - rounded)
 
-    k = max(op.prop_bound(), getattr(op, "patch_radius", 0), 1)
+    k = max(op.prop_bound(), 1)
     # trace of P - U* P U summed in sequence, down rows 0 .. j + k of each
     # column j, then across columns; hypot and float_power round like abs and **
     u = window(op, np.arange(2 * k)[:, None], np.arange(-k, k))
@@ -132,8 +132,7 @@ def conjugating_unitary(q_window: np.ndarray, half: int) -> np.ndarray:
 def _projection_window(op: Operator, half: int) -> np.ndarray:
     """Compression of U* P U to the window [-half, half), P the projection
     onto indices >= 0.  Entry (r, c) is sum_{k>=0} conj(U[k, -half+r]) U[k, -half+c]."""
-    reach = max(op.prop_bound(), getattr(op, "patch_radius", 0))
-    cols = window(op, np.arange(half + reach)[:, None], np.arange(-half, half))
+    cols = window(op, np.arange(half + op.prop_bound())[:, None], np.arange(-half, half))
     return cols.conj().T @ cols
 
 
@@ -141,9 +140,8 @@ def _block_scale(op: Operator) -> int:
     """Block half-size for the factorization: a common multiple of the
     propagation and the period, at least the patch radius."""
     base = lcm(max(propagation(op), 1), op.period)
-    radius = getattr(op, "patch_radius", 0)
     scale = base
-    while scale < radius:
+    while scale < op.patch_radius:
         scale += base
     return scale
 
@@ -156,7 +154,7 @@ def _pattern_leakage(op: Operator, block: int) -> float:
     """
     if block % op.period:
         raise ValidationError("block size must be a multiple of the period")
-    radius = getattr(op, "patch_radius", 0)
+    radius = op.patch_radius
     rows = np.arange(-radius, radius + block)[:, None]
     cols = rows + np.arange(-op.prop_bound(), op.prop_bound() + 1)
     leaks = np.abs(window(op, rows, cols))[cols // block != rows // block]
@@ -191,7 +189,7 @@ def decompose(op: Operator, tol: float = 1e-9) -> DecompositionResult:
     block = 2 * half
     # W's eigenvector blocks: the background's tile the grid offset by -half,
     # and an end-periodic op replaces the block over its patch
-    bg = getattr(op, "background", op)
+    bg = op.background
     w_bg = conjugating_unitary(_projection_window(bg, half), half).conj().T
     w_central = ({} if op is bg else
                  {0: conjugating_unitary(_projection_window(op, half), half).conj().T})
@@ -204,8 +202,8 @@ def decompose(op: Operator, tol: float = 1e-9) -> DecompositionResult:
             f"off-block leakage {leakage:.3e} exceeds tolerance {tol:.3e}")
 
     idx = np.arange(block)
-    v_bg = _snap_block(window(getattr(v_raw, "background", v_raw), idx[:, None], idx))
-    radius = getattr(v_raw, "patch_radius", 0)
+    v_bg = _snap_block(window(v_raw.background, idx[:, None], idx))
+    radius = v_raw.patch_radius
     v_central = {m: _snap_block(window(v_raw, idx[:, None] + m * block, idx + m * block))
                  for m in range((-radius) // block, -((-radius) // block))}
     v_op = block_diagonal(0, block, v_bg, central=v_central)
@@ -227,13 +225,12 @@ def decompose(op: Operator, tol: float = 1e-9) -> DecompositionResult:
 
 def retract_periodic(op: Operator, tol: float = CHECK_TOL) -> PeriodicBandOperator:
     """The unique periodic operator agreeing with op outside its patch window."""
-    background = getattr(op, "background", op)
-    res = unitarity_residual(background)
+    res = unitarity_residual(op.background)
     if res > tol:
         raise ValidationError(
             f"periodic background is not unitary (residual {res:.3e}); "
             "the patch is load-bearing beyond its window")
-    return background
+    return op.background
 
 
 def factor_end_periodic(op: Operator, tol: float = CHECK_TOL) -> EndPeriodicSplit:
@@ -244,8 +241,7 @@ def factor_end_periodic(op: Operator, tol: float = CHECK_TOL) -> EndPeriodicSpli
     # retract_periodic has bounded |B B* - I|, so raw's background is the
     # identity within tol
     raw = multiply(op, adjoint(periodic_part))
-    finite_part = _collapse(EndPeriodicOperator(
-        identity(), getattr(raw, "patch_radius", 0), getattr(raw, "patch", {})))
+    finite_part = _collapse(EndPeriodicOperator(identity(), raw.patch_radius, raw.patch))
 
     residual = max_entry_difference(multiply(finite_part, periodic_part), op)
     if residual > tol:

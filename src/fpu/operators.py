@@ -7,18 +7,21 @@ Two storage classes cover everything the library manipulates:
   EndPeriodicOperator    a periodic background plus a finite square patch
                          centered at 0 that overrides it entirely
 
-Shift operators, block-diagonal operators, single-block periodic embeddings
-and finite unitary insertions are all constructed into these classes, which
-are closed under product and adjoint.  Scalars are complex doubles; exact
+Both share the Operator interface: a periodic operator is the end-periodic
+one whose patch is empty, its own background with patch radius 0.  Shift
+operators, block-diagonal operators, single-block periodic embeddings and
+finite unitary insertions are all constructed into these classes, which are
+closed under product and adjoint.  Scalars are complex doubles; exact
 structure (indices, periods, radii) is integer.
 """
 
 from __future__ import annotations
 
 import cmath
+import types
 from dataclasses import dataclass
 from math import lcm
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +40,36 @@ def _finite(v) -> complex:
     return v
 
 
-class PeriodicBandOperator:
+class Operator:
+    """A periodic background overridden by a patch on [-patch_radius, patch_radius)^2.
+
+    Every operator reads as background, patch_radius and patch; a periodic
+    one is its own background with patch radius 0 and an empty patch.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def prop_bound(self) -> int:
+        """Structural bound on |i-j| for nonzero entries."""
+        return max(self.background.band, 2 * self.patch_radius - 1)
+
+    def __eq__(self, other) -> bool:
+        # entrywise over a common refinement; tolerance matches the floating
+        # representation (exact structure plus complex double values)
+        if not isinstance(other, Operator):
+            return NotImplemented
+        return operators_close(self, other)
+
+    __hash__ = None
+
+    def __matmul__(self, other):
+        return multiply(self, other)
+
+
+class PeriodicBandOperator(Operator):
     """Operator with S^n U S^{-n} = U, stored as one period of band entries.
 
     entries maps (i, d) -> complex for 0 <= i < period, |d| <= band, and
@@ -48,7 +80,9 @@ class PeriodicBandOperator:
 
     __slots__ = ("period", "band", "entries")
 
-    kind = "periodic"
+    patch_radius = 0
+    # read-only, since every periodic operator shares it
+    patch = types.MappingProxyType({})
 
     def __init__(self, period: int, band: int,
                  entries: Mapping[Tuple[int, int], complex]):
@@ -72,8 +106,9 @@ class PeriodicBandOperator:
         object.__setattr__(self, "band", band)
         object.__setattr__(self, "entries", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PeriodicBandOperator is immutable")
+    @property
+    def background(self) -> "PeriodicBandOperator":
+        return self
 
     def entry(self, i: int, j: int) -> complex:
         d = j - i
@@ -81,34 +116,18 @@ class PeriodicBandOperator:
             return 0j
         return self.entries.get((i % self.period, d), 0j)
 
-    def prop_bound(self) -> int:
-        """Structural bound on |i-j| for nonzero entries."""
-        return self.band
-
     def adjoint(self) -> "PeriodicBandOperator":
         adj = {}
         for (i, d), v in self.entries.items():
             adj[((i + d) % self.period, -d)] = v.conjugate()
         return PeriodicBandOperator(self.period, self.band, adj)
 
-    def __eq__(self, other) -> bool:
-        # entrywise over a common refinement; tolerance matches the floating
-        # representation (exact structure plus complex double values)
-        if not isinstance(other, (PeriodicBandOperator, EndPeriodicOperator)):
-            return NotImplemented
-        return operators_close(self, other)
-
-    __hash__ = None
-
-    def __matmul__(self, other):
-        return multiply(self, other)
-
     def __repr__(self):
         return (f"PeriodicBandOperator(period={self.period}, band={self.band}, "
                 f"{len(self.entries)} entries)")
 
 
-class EndPeriodicOperator:
+class EndPeriodicOperator(Operator):
     """A periodic background overridden on the finite window [-R, R)^2.
 
     Inside the window the entry is patch[(i, j)] with absent keys meaning an
@@ -118,8 +137,6 @@ class EndPeriodicOperator:
     """
 
     __slots__ = ("background", "patch_radius", "patch")
-
-    kind = "end-periodic"
 
     def __init__(self, background: PeriodicBandOperator, patch_radius: int,
                  patch: Mapping[Tuple[int, int], complex]):
@@ -142,9 +159,6 @@ class EndPeriodicOperator:
         object.__setattr__(self, "patch_radius", radius)
         object.__setattr__(self, "patch", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EndPeriodicOperator is immutable")
-
     @property
     def period(self) -> int:
         return self.background.period
@@ -155,31 +169,14 @@ class EndPeriodicOperator:
             return self.patch.get((i, j), 0j)
         return self.background.entry(i, j)
 
-    def prop_bound(self) -> int:
-        reach = max(2 * self.patch_radius - 1, 0)
-        return max(self.background.band, reach)
-
     def adjoint(self) -> "EndPeriodicOperator":
         adj = {(j, i): v.conjugate() for (i, j), v in self.patch.items()}
         return EndPeriodicOperator(self.background.adjoint(),
                                    self.patch_radius, adj)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (PeriodicBandOperator, EndPeriodicOperator)):
-            return NotImplemented
-        return operators_close(self, other)
-
-    __hash__ = None
-
-    def __matmul__(self, other):
-        return multiply(self, other)
-
     def __repr__(self):
         return (f"EndPeriodicOperator(background={self.background!r}, "
                 f"patch_radius={self.patch_radius}, {len(self.patch)} patch entries)")
-
-
-Operator = Union[PeriodicBandOperator, EndPeriodicOperator]
 
 
 def window(op: Operator, rows, cols) -> np.ndarray:
@@ -190,14 +187,14 @@ def window(op: Operator, rows, cols) -> np.ndarray:
     (period, 2*band + 2) table of the background's diagonals, overridden
     inside the patch window by the patch, where absent keys read as zero.
     """
-    bg = op.background if isinstance(op, EndPeriodicOperator) else op
+    bg = op.background
     # offsets index the table as in numpy, negative ones from the end, so every
     # offset beyond the band clips onto the zero column band + 1
     table = np.zeros((bg.period, 2 * bg.band + 2), dtype=complex)
     for (i, d), v in bg.entries.items():
         table[i, d] = v
     out = table[rows % bg.period, np.clip(cols - rows, -bg.band - 1, bg.band + 1)]
-    r = getattr(op, "patch_radius", 0)
+    r = op.patch_radius
     if r:
         rows, cols = np.broadcast_arrays(rows, cols)
         patch = np.zeros((2 * r, 2 * r), dtype=complex)
@@ -352,9 +349,9 @@ def multiply(a: Operator, b: Operator) -> Operator:
     """
     if isinstance(a, PeriodicBandOperator) and isinstance(b, PeriodicBandOperator):
         return _multiply_periodic(a, b)
-    bg = _multiply_periodic(getattr(a, "background", a), getattr(b, "background", b))
+    bg = _multiply_periodic(a.background, b.background)
     pa = a.prop_bound()
-    radius = (max(getattr(a, "patch_radius", 0), getattr(b, "patch_radius", 0), 1)
+    radius = (max(a.patch_radius, b.patch_radius, 1)
               + lcm(a.period, b.period) + pa + b.prop_bound())
     cells = np.arange(-radius, radius)
     mid = np.arange(-radius - pa, radius + pa)  # every k a window row reaches
@@ -364,17 +361,9 @@ def multiply(a: Operator, b: Operator) -> Operator:
 
 def propagation(op: Operator, tol: float = 0.0) -> int:
     """Largest |i-j| with |entry| > tol over one period plus the patch window."""
-    worst = 0
-    if isinstance(op, PeriodicBandOperator):
-        for (_, d), v in op.entries.items():
-            if abs(v) > tol:
-                worst = max(worst, abs(d))
-        return worst
-    worst = propagation(op.background, tol)
-    for (i, j), v in op.patch.items():
-        if abs(v) > tol:
-            worst = max(worst, abs(i - j))
-    return worst
+    reach = [abs(d) for (_, d), v in op.background.entries.items() if abs(v) > tol]
+    reach += [abs(i - j) for (i, j), v in op.patch.items() if abs(v) > tol]
+    return max(reach, default=0)
 
 
 def max_entry_difference(a: Operator, b: Operator) -> float:
@@ -385,8 +374,7 @@ def max_entry_difference(a: Operator, b: Operator) -> float:
     row, so it repeats a row inside.  Each row spans both bands.
     """
     prop = max(a.prop_bound(), b.prop_bound(), 1)
-    reach = (max(getattr(a, "patch_radius", 0), getattr(b, "patch_radius", 0))
-             + lcm(a.period, b.period))
+    reach = max(a.patch_radius, b.patch_radius) + lcm(a.period, b.period)
     rows = np.arange(-reach, reach)[:, None]
     cols = rows + np.arange(-prop, prop + 1)
     return float(np.max(np.abs(window(a, rows, cols) - window(b, rows, cols))))
@@ -425,7 +413,7 @@ class CornerData:
 
 
 def corner_data(op: Operator) -> CornerData:
-    k = max(op.prop_bound(), getattr(op, "patch_radius", 0))
+    k = op.prop_bound()
     minus, plus = np.arange(-k, 0), np.arange(k)
     return CornerData(minus_plus=window(op, minus[:, None], plus),
                       plus_minus=window(op, plus[:, None], minus), size=k)
@@ -466,7 +454,7 @@ class StateVector:
 
 def apply_state(op: Operator, psi: StateVector) -> StateVector:
     """(op psi)_i = sum_j op[i, j] psi_j; support grows by at most prop(op)."""
-    reach = max(op.prop_bound(), getattr(op, "patch_radius", 0))
+    reach = op.prop_bound()
     out: Dict[int, complex] = {}
     for j, v in psi.amplitudes.items():
         rows = range(j - reach, j + reach + 1)

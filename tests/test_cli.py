@@ -174,13 +174,15 @@ def test_seq_bare_tail_line_exits_one(tmp_path):
     assert result.stderr == "error: tail period lists must be nonempty\n"
 
 
-def test_python_dash_m_runs_the_cli():
+@pytest.mark.parametrize("flags", [[], ["-OO"]], ids=["default", "-OO"])
+def test_python_dash_m_runs_the_cli(flags):
+    # -OO strips docstrings, so nothing may be built from them at import
     src = str(pathlib.Path(fpu.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     for name, code in (("shift1.op", 0), ("zero.op", 2)):
         argv = ["op", "index", fixture(name)]
-        proc = subprocess.run([sys.executable, "-m", "fpu", *argv], env=env,
+        proc = subprocess.run([sys.executable, *flags, "-m", "fpu", *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         expected = run_command(argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (

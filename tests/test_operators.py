@@ -4,6 +4,7 @@ arithmetic over an index window wide enough that truncation cannot leak in."""
 import numpy as np
 import pytest
 
+from fpu.cli import serialize_operator
 from fpu.errors import ValidationError
 from fpu.matutil import haar_unitary
 from fpu.operators import (EndPeriodicOperator, PeriodicBandOperator,
@@ -182,6 +183,33 @@ def test_patch_out_of_window_rejected():
         EndPeriodicOperator(identity(), 1, {(1, 0): 0.5})
 
 
+def test_periodic_operator_is_its_own_background_with_empty_patch():
+    op = make_shift(1)
+    assert op.background is op and op.patch_radius == 0 and not op.patch
+    # every periodic operator shares the one empty patch, so it must not take writes
+    with pytest.raises(TypeError):
+        op.patch[(0, 0)] = 1.0
+    with pytest.raises(AttributeError, match="^PeriodicBandOperator is immutable$"):
+        op.band = 2
+    with pytest.raises(AttributeError, match="^EndPeriodicOperator is immutable$"):
+        embed_finite(SWAP).patch_radius = 0
+
+
+def test_wrapped_periodic_operator_agrees_with_periodic(rng):
+    for _ in range(8):
+        p = random_operator(rng)
+        while p.patch_radius:
+            p = random_operator(rng)
+        wrapped = EndPeriodicOperator(p, 0, {})
+        other = random_operator(rng, end_periodic=rng.integers(0, 2) == 0)
+        assert propagation(wrapped) == propagation(p)
+        assert wrapped.prop_bound() == p.prop_bound()
+        assert serialize_operator(wrapped) == serialize_operator(p)
+        for pair in ((wrapped, other), (other, wrapped), (wrapped, wrapped)):
+            plain = [p if x is wrapped else x for x in pair]
+            assert serialize_operator(multiply(*pair)) == serialize_operator(multiply(*plain))
+
+
 # -- dense window -------------------------------------------------------------------
 
 def random_storage_operator(rng, end_periodic):
@@ -198,6 +226,14 @@ def random_storage_operator(rng, end_periodic):
              for i in range(-radius, radius) for j in range(-radius, radius)
              if rng.random() < 0.5}
     return EndPeriodicOperator(op, radius, patch)
+
+
+@pytest.mark.parametrize("end_periodic", [False, True])
+def test_prop_bound_covers_patch_radius_and_entries(rng, end_periodic):
+    for _ in range(25):
+        op = random_storage_operator(rng, end_periodic)
+        assert op.prop_bound() >= op.patch_radius
+        assert op.prop_bound() >= propagation(op)
 
 
 @pytest.mark.parametrize("end_periodic", [False, True])
