@@ -11,13 +11,23 @@ Two formats, both line oriented and exact on round trip:
   FPUOP 1            header
   period n
   band L
-  patch-radius R
+  patch-radius R     optional, 0 when absent
   bg i d re im       background entry U[i + t*n, i + t*n + d]
   patch i j re im    patch entry inside [-R, R)^2
   END
 
+The lines between the header and END may come in any order.  The parsers
+check syntax only; the operator and sequence constructors check the values.
+
+Each subcommand is declared once, in _build_parser, with its arguments and
+its handler.  A handler prints its report keys and returns the operators or
+sequences it produces, which run_command writes to the -o paths or prints.
+Only index, check, decompose, retract and factor take --tol, a non-negative
+number.
+
 Exit codes: 0 success, 1 validation error (malformed input, bad arguments),
-2 numerical failure (non-unitary operator, nonzero index, tolerance breach).
+2 numerical failure (non-unitary operator, nonzero index, tolerance breach)
+or an input too large to evaluate in memory.
 Integers serialize plainly; floats as shortest round-trip decimals, so
 identical inputs and seeds give byte-identical output.
 """
@@ -25,9 +35,10 @@ identical inputs and seeds give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from . import gnvw, sequences
 from .errors import NumericalError, ValidationError
@@ -111,95 +122,54 @@ def _content_lines(text: str, header: str):
 
 
 def parse_seq_text(text: str) -> EventuallyPeriodicSeq:
-    left = offset = core = right = None
+    values: Dict[str, List[int]] = {}
     for lineno, tokens in _content_lines(text, "EPSEQ 1"):
         key, rest = tokens[0], tokens[1:]
-        if key == "left":
-            if left is not None:
-                raise ValidationError(f"line {lineno}: duplicate left line")
-            left = [_parse_int(t, lineno) for t in rest]
-        elif key == "core":
-            if core is not None:
-                raise ValidationError(f"line {lineno}: duplicate core line")
-            if not rest:
-                raise ValidationError(f"line {lineno}: core needs an offset")
-            offset = _parse_int(rest[0], lineno)
-            core = [_parse_int(t, lineno) for t in rest[1:]]
-        elif key == "right":
-            if right is not None:
-                raise ValidationError(f"line {lineno}: duplicate right line")
-            right = [_parse_int(t, lineno) for t in rest]
-        else:
+        if key not in ("left", "core", "right"):
             raise ValidationError(f"line {lineno}: unknown directive {key!r}")
-    if left is None or core is None or right is None:
+        if key in values:
+            raise ValidationError(f"line {lineno}: duplicate {key} line")
+        if key == "core" and not rest:
+            raise ValidationError(f"line {lineno}: core needs an offset")
+        values[key] = [_parse_int(t, lineno) for t in rest]
+    if len(values) < 3:
         raise ValidationError("sequence file needs left, core and right lines")
-    return EventuallyPeriodicSeq(left, offset, core, right)
+    offset, *core = values["core"]
+    return EventuallyPeriodicSeq(values["left"], offset, core, values["right"])
+
+
+# the four fields of each entry line, by directive
+_CELL_FIELDS = {"bg": "i d re im", "patch": "i j re im"}
 
 
 def parse_operator_text(text: str) -> Operator:
-    period = band = radius = None
-    bg = {}
-    patch = {}
+    sizes: Dict[str, int] = {}
+    cells: Dict[str, dict] = {key: {} for key in _CELL_FIELDS}
     for lineno, tokens in _content_lines(text, "FPUOP 1"):
         key, rest = tokens[0], tokens[1:]
-        if key == "period":
-            if period is not None:
-                raise ValidationError(f"line {lineno}: duplicate period line")
-            period = _parse_int(rest[0], lineno)
-            if period < 1:
-                raise ValidationError(f"line {lineno}: period must be >= 1")
-        elif key == "band":
-            if band is not None:
-                raise ValidationError(f"line {lineno}: duplicate band line")
-            band = _parse_int(rest[0], lineno)
-            if band < 0:
-                raise ValidationError(f"line {lineno}: band must be >= 0")
-        elif key == "patch-radius":
-            if radius is not None:
-                raise ValidationError(f"line {lineno}: duplicate patch-radius line")
-            radius = _parse_int(rest[0], lineno)
-            if radius < 0:
-                raise ValidationError(f"line {lineno}: patch-radius must be >= 0")
-        elif key == "bg":
-            if period is None or band is None:
-                raise ValidationError(
-                    f"line {lineno}: period and band must precede entries")
+        if key in ("period", "band", "patch-radius"):
+            if key in sizes:
+                raise ValidationError(f"line {lineno}: duplicate {key} line")
+            if len(rest) != 1:
+                raise ValidationError(f"line {lineno}: {key} needs one integer")
+            sizes[key] = _parse_int(rest[0], lineno)
+        elif key in cells:
             if len(rest) != 4:
-                raise ValidationError(f"line {lineno}: bg needs i d re im")
-            i, d = _parse_int(rest[0], lineno), _parse_int(rest[1], lineno)
-            if not 0 <= i < period:
-                raise ValidationError(
-                    f"line {lineno}: row index {i} outside [0, {period})")
-            if abs(d) > band:
-                raise ValidationError(
-                    f"line {lineno}: band violation: |{d}| > band {band}")
-            if (i, d) in bg:
-                raise ValidationError(f"line {lineno}: duplicate bg entry ({i}, {d})")
-            bg[(i, d)] = complex(_parse_float(rest[2], lineno),
-                                 _parse_float(rest[3], lineno))
-        elif key == "patch":
-            if radius is None:
-                raise ValidationError(
-                    f"line {lineno}: patch-radius must precede patch entries")
-            if len(rest) != 4:
-                raise ValidationError(f"line {lineno}: patch needs i j re im")
-            i, j = _parse_int(rest[0], lineno), _parse_int(rest[1], lineno)
-            if not (-radius <= i < radius and -radius <= j < radius):
-                raise ValidationError(
-                    f"line {lineno}: patch entry ({i}, {j}) outside window "
-                    f"[-{radius}, {radius})")
-            if (i, j) in patch:
-                raise ValidationError(f"line {lineno}: duplicate patch entry ({i}, {j})")
-            patch[(i, j)] = complex(_parse_float(rest[2], lineno),
-                                    _parse_float(rest[3], lineno))
+                raise ValidationError(f"line {lineno}: {key} needs {_CELL_FIELDS[key]}")
+            cell = (_parse_int(rest[0], lineno), _parse_int(rest[1], lineno))
+            if cell in cells[key]:
+                raise ValidationError(f"line {lineno}: duplicate {key} entry {cell}")
+            cells[key][cell] = complex(_parse_float(rest[2], lineno),
+                                       _parse_float(rest[3], lineno))
         else:
             raise ValidationError(f"line {lineno}: unknown directive {key!r}")
-    if period is None or band is None:
+    if "period" not in sizes or "band" not in sizes:
         raise ValidationError("operator file needs period and band lines")
-    background = PeriodicBandOperator(period, band, bg)
-    if radius in (None, 0) and not patch:
+    background = PeriodicBandOperator(sizes["period"], sizes["band"], cells["bg"])
+    radius = sizes.get("patch-radius", 0)
+    if radius == 0 and not cells["patch"]:
         return background
-    return EndPeriodicOperator(background, radius, patch)
+    return EndPeriodicOperator(background, radius, cells["patch"])
 
 
 # -- command plumbing -----------------------------------------------------------
@@ -207,6 +177,17 @@ def parse_operator_text(text: str) -> Operator:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValidationError(message)
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not tol >= 0:  # a NaN tol would pass every `x > tol` check
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative number, got {text!r}")
+    return tol
 
 
 def _read(path: str) -> str:
@@ -256,9 +237,98 @@ def _write_outputs(out: _Emitter, paths: Optional[Sequence[str]],
             out.emit_text(text)
         return
     for path, text in zip(paths, texts):
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}")
         out.note(f"wrote {path}")
+
+
+# -- command handlers -----------------------------------------------------------
+# Each prints its report keys and returns what it produces, in -o order.
+
+def _op_index(args, out: _Emitter):
+    report = gnvw.index(_load_operator(args.file), args.tol)
+    out.emit("index", report.rounded)
+    out.emit("raw", report.raw)
+    out.emit("deviation", report.deviation)
+    out.emit("hs-minus-plus", report.hs_minus_plus)
+    out.emit("hs-plus-minus", report.hs_plus_minus)
+    out.emit("trace-check", report.trace_check)
+
+
+def _op_check(args, out: _Emitter):
+    op = _load_operator(args.file)
+    residual = unitarity_residual(op)
+    ok = residual <= args.tol
+    out.emit("unitary", ok)
+    out.emit("residual", residual)
+    out.emit("propagation", propagation(op))
+    out.emit("period", op.period)
+    out.emit("patch-radius", op.patch_radius)
+    if not ok:
+        raise NumericalError(f"unitarity residual {residual:.3e} > {args.tol:.3e}")
+
+
+def _op_decompose(args, out: _Emitter):
+    result = gnvw.decompose(_load_operator(args.file), args.tol)
+    out.emit("block-size", result.block_size)
+    out.emit("residual", result.residual)
+    out.emit("block-leakage", result.block_leakage)
+    return result.v, result.w
+
+
+def _op_factor(args, out: _Emitter):
+    split = gnvw.factor_end_periodic(_load_operator(args.file), args.tol)
+    out.emit("window", split.window)
+    out.emit("residual", split.residual)
+    return split.finite_part, split.periodic_part
+
+
+def _op_synth(args, out: _Emitter):
+    op = gnvw.synth_random(args.index, args.period, args.block,
+                           args.patch_blocks, args.seed)
+    out.emit("index", gnvw.index(op).rounded)
+    out.emit("period", op.period)
+    out.emit("propagation", propagation(op))
+    out.emit("patch-radius", op.patch_radius)
+    return (op,)
+
+
+def _op_apply(args, out: _Emitter):
+    op = _load_operator(args.file)
+    if args.amp:
+        amps = {}
+        for j, re, im in args.amp:
+            try:
+                amps[int(j)] = complex(float(re), float(im))
+            except ValueError:
+                raise ValidationError(
+                    f"--amp expects an integer index and two numbers, "
+                    f"got {j!r} {re!r} {im!r}")
+        psi = StateVector(amps)
+    else:
+        psi = StateVector.delta(args.delta)
+    result = apply_state(op, psi)
+    for j in result.support():
+        v = result[j]
+        out.emit_text(f"state {j} {_fmt_float(v.real)} {_fmt_float(v.imag)}")
+
+
+def _seq_member(args, out: _Emitter):
+    result = sequences.in_image_one_minus_s(_load_seq(args.file))
+    out.emit("member", result.member)
+    return (result.witness,) if result.member else ()
+
+
+def _seq_equal(args, out: _Emitter):
+    out.emit("equal", sequences.coinv_equal(_load_seq(args.a), _load_seq(args.b)))
+
+
+def _seq_divide(args, out: _Emitter):
+    witness = sequences.divide_class(_load_seq(args.file), args.n)
+    return witness.b, witness.c
 
 
 def _build_parser() -> _Parser:
@@ -267,211 +337,89 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--porcelain", action="store_true",
                         help="machine-parseable one-value-per-line output")
-    common.add_argument("--tol", type=float, default=None,
-                        help="override the default tolerance")
     top = parser.add_subparsers(dest="group", required=True)
-
     op = top.add_parser("op", help="operator commands").add_subparsers(
         dest="command", required=True)
-    sub = op.add_parser("index", parents=[common])
-    sub.add_argument("file")
-    sub = op.add_parser("check", parents=[common])
-    sub.add_argument("file")
-    sub = op.add_parser("mul", parents=[common])
-    sub.add_argument("a")
-    sub.add_argument("b")
-    sub.add_argument("-o", "--output", nargs=1)
-    sub = op.add_parser("adjoint", parents=[common])
-    sub.add_argument("file")
-    sub.add_argument("-o", "--output", nargs=1)
-    sub = op.add_parser("decompose", parents=[common])
-    sub.add_argument("file")
-    sub.add_argument("-o", "--output", nargs=2, metavar=("VOUT", "WOUT"))
-    sub = op.add_parser("retract", parents=[common])
-    sub.add_argument("file")
-    sub.add_argument("-o", "--output", nargs=1)
-    sub = op.add_parser("factor", parents=[common])
-    sub.add_argument("file")
-    sub.add_argument("-o", "--output", nargs=2, metavar=("FINITE", "PERIODIC"))
-    sub = op.add_parser("synth", parents=[common])
+    seq = top.add_parser("seq", help="sequence commands").add_subparsers(
+        dest="command", required=True)
+
+    def command(group, name, run, *positionals, tol=None, outputs=()):
+        """Declare a subcommand; a positional is a name or a (name, type) pair."""
+        sub = group.add_parser(name, parents=[common])
+        sub.set_defaults(run=run)
+        for spec in positionals:
+            dest, kind = (spec, str) if isinstance(spec, str) else spec
+            sub.add_argument(dest, type=kind)
+        if tol is not None:
+            sub.add_argument("--tol", type=_tolerance, default=tol,
+                             help="tolerance of the checks (default %(default)s)")
+        if outputs:
+            sub.add_argument("-o", "--output", nargs=len(outputs), metavar=outputs)
+        return sub
+
+    one = ("OUTPUT",)
+    command(op, "index", _op_index, "file", tol=gnvw.INDEX_TOL)
+    command(op, "check", _op_check, "file", tol=CHECK_TOL)
+    command(op, "mul", lambda args, out: (
+        multiply(_load_operator(args.a), _load_operator(args.b)),),
+        "a", "b", outputs=one)
+    command(op, "adjoint", lambda args, out: (adjoint(_load_operator(args.file)),),
+            "file", outputs=one)
+    command(op, "decompose", _op_decompose, "file", tol=CHECK_TOL,
+            outputs=("VOUT", "WOUT"))
+    command(op, "retract", lambda args, out: (
+        gnvw.retract_periodic(_load_operator(args.file), args.tol),),
+        "file", tol=CHECK_TOL, outputs=one)
+    command(op, "factor", _op_factor, "file", tol=CHECK_TOL,
+            outputs=("FINITE", "PERIODIC"))
+    sub = command(op, "synth", _op_synth, outputs=one)
     sub.add_argument("--seed", type=int, required=True)
     sub.add_argument("--index", type=int, default=0)
     sub.add_argument("--period", type=int, default=1)
     sub.add_argument("--block", type=int, default=1)
     sub.add_argument("--patch-blocks", type=int, default=0)
-    sub.add_argument("-o", "--output", nargs=1)
-    sub = op.add_parser("apply", parents=[common])
-    sub.add_argument("file")
-    state = sub.add_mutually_exclusive_group()
+    state = command(op, "apply", _op_apply, "file").add_mutually_exclusive_group()
     state.add_argument("--delta", type=int, default=0,
                        help="apply to the basis state at this index")
     state.add_argument("--amp", nargs=3, action="append", default=None,
                        metavar=("J", "RE", "IM"))
 
-    seq = top.add_parser("seq", help="sequence commands").add_subparsers(
-        dest="command", required=True)
-    sub = seq.add_parser("shift", parents=[common])
-    sub.add_argument("file")
-    sub.add_argument("k", type=int)
-    sub.add_argument("-o", "--output", nargs=1)
-    sub = seq.add_parser("add", parents=[common])
-    sub.add_argument("a")
-    sub.add_argument("b")
-    sub.add_argument("-o", "--output", nargs=1)
-    sub = seq.add_parser("blocksum", parents=[common])
-    sub.add_argument("file")
-    sub.add_argument("n", type=int)
-    sub.add_argument("-o", "--output", nargs=1)
-    sub = seq.add_parser("reduce3", parents=[common])
-    sub.add_argument("file")
-    sub.add_argument("-o", "--output", nargs=1)
-    sub = seq.add_parser("alpha", parents=[common])
-    sub.add_argument("file")
-    sub.add_argument("-o", "--output", nargs=2, metavar=("FIRST", "SECOND"))
-    sub = seq.add_parser("member", parents=[common])
-    sub.add_argument("file")
-    sub.add_argument("-o", "--output", nargs=1, metavar="WITNESS")
-    sub = seq.add_parser("equal", parents=[common])
-    sub.add_argument("a")
-    sub.add_argument("b")
-    sub = seq.add_parser("divide", parents=[common])
-    sub.add_argument("file")
-    sub.add_argument("n", type=int)
-    sub.add_argument("-o", "--output", nargs=2, metavar=("B", "C"))
+    command(seq, "shift", lambda args, out: (_load_seq(args.file).shift(args.k),),
+            "file", ("k", int), outputs=one)
+    command(seq, "add", lambda args, out: (
+        _load_seq(args.a).add(_load_seq(args.b)),), "a", "b", outputs=one)
+    command(seq, "blocksum", lambda args, out: (
+        _load_seq(args.file).block_sum(args.n),), "file", ("n", int), outputs=one)
+    command(seq, "reduce3", lambda args, out: (_load_seq(args.file).reduce3(),),
+            "file", outputs=one)
+    command(seq, "alpha", lambda args, out: sequences.alpha_map(_load_seq(args.file)),
+            "file", outputs=("FIRST", "SECOND"))
+    command(seq, "member", _seq_member, "file", outputs=("WITNESS",))
+    command(seq, "equal", _seq_equal, "a", "b")
+    command(seq, "divide", _seq_divide, "file", ("n", int), outputs=("B", "C"))
     return parser
 
 
 _PARSER = _build_parser()
 
 
-# -- command handlers -----------------------------------------------------------
-
-def _cmd_op(args, out: _Emitter) -> None:
-    cmd = args.command
-    tol = args.tol if args.tol is not None else CHECK_TOL
-    if cmd == "index":
-        op = _load_operator(args.file)
-        report = gnvw.index(op, args.tol if args.tol is not None else gnvw.INDEX_TOL)
-        out.emit("index", report.rounded)
-        out.emit("raw", report.raw)
-        out.emit("deviation", report.deviation)
-        out.emit("hs-minus-plus", report.hs_minus_plus)
-        out.emit("hs-plus-minus", report.hs_plus_minus)
-        out.emit("trace-check", report.trace_check)
-    elif cmd == "check":
-        op = _load_operator(args.file)
-        residual = unitarity_residual(op)
-        ok = residual <= tol
-        out.emit("unitary", ok)
-        out.emit("residual", residual)
-        out.emit("propagation", propagation(op))
-        out.emit("period", op.period)
-        out.emit("patch-radius", op.patch_radius)
-        if not ok:
-            raise NumericalError(f"unitarity residual {residual:.3e} > {tol:.3e}")
-    elif cmd == "mul":
-        product = multiply(_load_operator(args.a), _load_operator(args.b))
-        _write_outputs(out, args.output, [serialize_operator(product)])
-    elif cmd == "adjoint":
-        _write_outputs(out, args.output,
-                       [serialize_operator(adjoint(_load_operator(args.file)))])
-    elif cmd == "decompose":
-        op = _load_operator(args.file)
-        result = gnvw.decompose(op, tol)
-        out.emit("block-size", result.block_size)
-        out.emit("residual", result.residual)
-        out.emit("block-leakage", result.block_leakage)
-        _write_outputs(out, args.output, [serialize_operator(result.v),
-                                          serialize_operator(result.w)])
-    elif cmd == "retract":
-        op = _load_operator(args.file)
-        _write_outputs(out, args.output,
-                       [serialize_operator(gnvw.retract_periodic(op, tol))])
-    elif cmd == "factor":
-        op = _load_operator(args.file)
-        split = gnvw.factor_end_periodic(op, tol)
-        out.emit("window", split.window)
-        out.emit("residual", split.residual)
-        _write_outputs(out, args.output,
-                       [serialize_operator(split.finite_part),
-                        serialize_operator(split.periodic_part)])
-    elif cmd == "synth":
-        op = gnvw.synth_random(args.index, args.period, args.block,
-                               args.patch_blocks, args.seed)
-        report = gnvw.index(op)
-        out.emit("index", report.rounded)
-        out.emit("period", op.period)
-        out.emit("propagation", propagation(op))
-        out.emit("patch-radius", op.patch_radius)
-        _write_outputs(out, args.output, [serialize_operator(op)])
-    elif cmd == "apply":
-        op = _load_operator(args.file)
-        if args.amp:
-            amps = {}
-            for j, re, im in args.amp:
-                try:
-                    amps[int(j)] = complex(float(re), float(im))
-                except ValueError:
-                    raise ValidationError(
-                        f"--amp expects an integer index and two numbers, "
-                        f"got {j!r} {re!r} {im!r}")
-            psi = StateVector(amps)
-        else:
-            psi = StateVector.delta(args.delta)
-        result = apply_state(op, psi)
-        for j in result.support():
-            v = result[j]
-            out.emit_text(f"state {j} {_fmt_float(v.real)} {_fmt_float(v.imag)}")
-
-
-def _cmd_seq(args, out: _Emitter) -> None:
-    cmd = args.command
-    if cmd == "shift":
-        _write_outputs(out, args.output,
-                       [serialize_seq(_load_seq(args.file).shift(args.k))])
-    elif cmd == "add":
-        total = _load_seq(args.a).add(_load_seq(args.b))
-        _write_outputs(out, args.output, [serialize_seq(total)])
-    elif cmd == "blocksum":
-        _write_outputs(out, args.output,
-                       [serialize_seq(_load_seq(args.file).block_sum(args.n))])
-    elif cmd == "reduce3":
-        _write_outputs(out, args.output,
-                       [serialize_seq(_load_seq(args.file).reduce3())])
-    elif cmd == "alpha":
-        first, second = sequences.alpha_map(_load_seq(args.file))
-        _write_outputs(out, args.output,
-                       [serialize_seq(first), serialize_seq(second)])
-    elif cmd == "member":
-        result = sequences.in_image_one_minus_s(_load_seq(args.file))
-        out.emit("member", result.member)
-        if result.member:
-            _write_outputs(out, args.output, [serialize_seq(result.witness)])
-    elif cmd == "equal":
-        out.emit("equal", sequences.coinv_equal(_load_seq(args.a),
-                                                _load_seq(args.b)))
-    elif cmd == "divide":
-        witness = sequences.divide_class(_load_seq(args.file), args.n)
-        _write_outputs(out, args.output, [serialize_seq(witness.b),
-                                          serialize_seq(witness.c)])
-
-
 def run_command(argv: Sequence[str]) -> CommandResult:
     out = _Emitter(porcelain=False)
     try:
         args = _PARSER.parse_args(list(argv))
-        out = _Emitter(porcelain=getattr(args, "porcelain", False))
-        if args.group == "op":
-            _cmd_op(args, out)
-        else:
-            _cmd_seq(args, out)
+        out = _Emitter(porcelain=args.porcelain)
+        texts = [serialize_operator(x) if isinstance(x, Operator) else serialize_seq(x)
+                 for x in args.run(args, out) or ()]
+        _write_outputs(out, getattr(args, "output", None), texts)
         return CommandResult(exit_code=0, stdout=out.text())
     except ValidationError as exc:
-        return CommandResult(exit_code=1, stdout=out.text(),
-                             stderr=f"error: {exc}\n")
+        code, message = 1, str(exc)
     except NumericalError as exc:
-        return CommandResult(exit_code=2, stdout=out.text(),
-                             stderr=f"error: {exc}\n")
+        code, message = 2, str(exc)
+    except MemoryError as exc:  # a size read from the input, too large to allocate
+        code, message = 2, f"input too large to evaluate in memory: {exc}"
+    return CommandResult(exit_code=code, stdout=out.text(),
+                         stderr=f"error: {message}\n")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -96,9 +96,9 @@ class PeriodicBandOperator(Operator):
         for (i, d), v in entries.items():
             i, d = int(i), int(d)
             if not 0 <= i < period:
-                raise ValidationError(f"row index {i} outside period range [0, {period})")
+                raise ValidationError(f"row index {i} outside [0, {period})")
             if abs(d) > band:
-                raise ValidationError(f"diagonal offset {d} violates band {band}")
+                raise ValidationError(f"band violation: |{d}| > band {band}")
             v = _finite(v)
             if abs(v) > ZERO_TOL:
                 clean[(i, d)] = v
@@ -427,8 +427,7 @@ class StateVector:
     __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes: Mapping[int, complex]):
-        amps = {int(i): complex(v) for i, v in amplitudes.items()
-                if abs(complex(v)) > 0.0}
+        amps = {int(i): c for i, v in amplitudes.items() if (c := _finite(v))}
         object.__setattr__(self, "amplitudes", amps)
 
     def __setattr__(self, name, value):

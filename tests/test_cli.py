@@ -1,7 +1,9 @@
 """CLI contract tests: exit codes, golden files, round trips, determinism."""
 
+import argparse
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -9,8 +11,9 @@ import pytest
 
 import fpu
 
-from fpu.cli import (parse_operator_text, parse_seq_text, run_command,
+from fpu.cli import (_PARSER, parse_operator_text, parse_seq_text, run_command,
                      serialize_operator, serialize_seq)
+from fpu.errors import ValidationError
 from fpu.operators import EndPeriodicOperator, PeriodicBandOperator
 
 from golden_cases import GOLDEN_CASES, resolve_argv
@@ -91,6 +94,26 @@ def test_parse_rejects_bad_row_index():
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("line", ["period", "period 1 2", "band", "band 1 1",
+                                  "patch-radius", "patch-radius 0 0"])
+def test_size_line_takes_one_integer(tmp_path, line):
+    key = line.split()[0]
+    sizes = {"period": "period 1", "band": "band 1", "patch-radius": "patch-radius 0"}
+    sizes[key] = line
+    path = tmp_path / "u.op"
+    path.write_text("FPUOP 1\n" + "\n".join(sizes.values()) + "\nbg 0 1 1.0 0.0\nEND\n")
+    result = run_command(["op", "index", str(path)])
+    assert result.exit_code == 1
+    assert result.stderr.endswith(f": {key} needs one integer\n")
+
+
+def test_operator_lines_may_come_in_any_order():
+    text = fixture_text("endswap.op")
+    header, *body, end = text.splitlines()
+    reordered = "\n".join([header, *reversed(body), end]) + "\n"
+    assert serialize_operator(parse_operator_text(reordered)) == text
+
+
 def test_parse_rejects_bad_header():
     result = run_command(["seq", "member", fixture("bad_header.seq")])
     assert result.exit_code == 1
@@ -148,6 +171,47 @@ def test_non_finite_entries_exit_one(tmp_path, command, radius, body):
     assert "not finite" in result.stderr
 
 
+@pytest.mark.parametrize("amps", [
+    ["0", "nan", "0"],  # was: exit 0 and no output
+    ["0", "inf", "0", "--amp", "1", "1", "0"],  # was: state 1 inf nan
+], ids=["nan", "inf"])
+def test_non_finite_amplitudes_exit_one(amps):
+    result = run_command(["op", "apply", fixture("swap.op"), "--amp", *amps])
+    assert result.exit_code == 1
+    assert "not finite" in result.stderr
+
+
+NON_UNITARY = "FPUOP 1\nperiod 1\nband 1\nbg 0 0 0.7 0.0\nbg 0 1 0.7 0.0\nEND\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "-0.001"])
+@pytest.mark.parametrize("command", ["index", "factor"])
+def test_tol_must_be_a_non_negative_number(tmp_path, command, tol):
+    # every gate compares `x > tol`, which is false for NaN: `index --tol nan`
+    # printed index 0 for this operator and `factor --tol nan` factored it
+    path = tmp_path / "u.op"
+    path.write_text(NON_UNITARY)
+    result = run_command(["op", command, str(path), "--tol", tol])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert "--tol: expected a non-negative number" in result.stderr
+
+
+def test_input_too_large_for_memory_exits_two():
+    # synth's first array holds 1e16 doubles, 71 PiB: more than any x86-64
+    # address space, so the allocation fails at once under any overcommit mode
+    result = run_command(["op", "synth", "--seed", "1", "--block", "100000000"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: input too large to evaluate in memory")
+
+
+def test_unwritable_output_exits_one(tmp_path):
+    out = tmp_path / "missing" / "adj.op"
+    result = run_command(["op", "adjoint", fixture("shift1.op"), "-o", str(out)])
+    assert result.exit_code == 1
+    assert result.stderr.startswith(f"error: cannot write {out}")
+
+
 def test_apply_delta_and_amp_are_exclusive():
     result = run_command(["op", "apply", fixture("swap.op"), "--delta", "1",
                           "--amp", "0", "1.0", "0.0"])
@@ -187,6 +251,47 @@ def test_python_dash_m_runs_the_cli(flags):
         expected = run_command(argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             code, expected.stdout, expected.stderr)
+
+
+# -- the README's command list ---------------------------------------------------
+
+CHECKING_COMMANDS = {("op", name) for name in
+                     ("index", "check", "decompose", "retract", "factor")}
+
+
+def _readme_commands():
+    """The argv of every `fpu ...` line in the README's CLI code block."""
+    text = (TESTS_DIR.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("fpu ")]
+
+
+def _declared_commands():
+    def choices(parser):
+        return next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return {(group, name) for group, sub in choices(_PARSER).items()
+            for name in choices(sub)}
+
+
+def test_readme_cli_block_matches_the_parser():
+    seen = set()
+    for argv in _readme_commands():
+        args = _PARSER.parse_args(argv)
+        assert callable(args.run), argv  # each command is declared with its handler
+        seen.add((args.group, args.command))
+    assert seen == _declared_commands()
+
+
+def test_only_checking_commands_take_tol():
+    for argv in _readme_commands():
+        args = _PARSER.parse_args(argv)
+        if (args.group, args.command) in CHECKING_COMMANDS:
+            assert _PARSER.parse_args(argv + ["--tol", "0.5"]).tol == 0.5
+        else:
+            with pytest.raises(ValidationError, match="unrecognized arguments"):
+                _PARSER.parse_args(argv + ["--tol", "0.5"])
 
 
 def test_index_shift_reports_one():
