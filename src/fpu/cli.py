@@ -71,17 +71,13 @@ def serialize_seq(seq: EventuallyPeriodicSeq) -> str:
 
 
 def serialize_operator(op: Operator) -> str:
-    background, patch = op.background, op.patch
     lines = ["FPUOP 1",
-             f"period {background.period}",
-             f"band {background.band}",
+             f"period {op.period}",
+             f"band {op.background.band}",
              f"patch-radius {op.patch_radius}"]
-    for (i, d) in sorted(background.entries):
-        v = background.entries[(i, d)]
-        lines.append(f"bg {i} {d} {_fmt_float(v.real)} {_fmt_float(v.imag)}")
-    for (i, j) in sorted(patch):
-        v = patch[(i, j)]
-        lines.append(f"patch {i} {j} {_fmt_float(v.real)} {_fmt_float(v.imag)}")
+    for key, cells in (("bg", op.background.entries), ("patch", op.patch)):
+        for (a, b), v in sorted(cells.items()):
+            lines.append(f"{key} {a} {b} {_fmt_float(v.real)} {_fmt_float(v.imag)}")
     lines.append("END")
     return "\n".join(lines) + "\n"
 
@@ -175,8 +171,14 @@ def parse_operator_text(text: str) -> Operator:
 # -- command plumbing -----------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    class Help(Exception):
+        """Help asked for with -h: run_command returns it as its output."""
+
     def error(self, message):
         raise ValidationError(message)
+
+    def print_help(self, file=None):  # in place of printing it and exiting
+        raise _Parser.Help(self.format_help())
 
 
 def _tolerance(text: str) -> float:
@@ -412,6 +414,8 @@ def run_command(argv: Sequence[str]) -> CommandResult:
                  for x in args.run(args, out) or ()]
         _write_outputs(out, getattr(args, "output", None), texts)
         return CommandResult(exit_code=0, stdout=out.text())
+    except _Parser.Help as help_text:
+        return CommandResult(exit_code=0, stdout=str(help_text))
     except ValidationError as exc:
         code, message = 1, str(exc)
     except NumericalError as exc:

@@ -24,12 +24,10 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .matutil import haar_unitary, polar_unitary, unitary_defect
-from .operators import (CHECK_TOL, EndPeriodicOperator, Operator,
-                        PeriodicBandOperator, _collapse, adjoint,
-                        block_diagonal, corner_data, delta_embed, embed_finite,
-                        identity, make_shift, max_entry_difference, multiply,
-                        propagation, require_unitary, unitarity_residual,
-                        window)
+from .operators import (CHECK_TOL, Operator, PeriodicBandOperator, _patched, adjoint,
+                        block_diagonal, corner_data, delta_embed, embed_finite, identity,
+                        make_shift, max_entry_difference, multiply, propagation,
+                        require_unitary, unitarity_residual, window)
 
 # default acceptance tolerance on the index integer deviation
 INDEX_TOL = 1e-6
@@ -241,7 +239,7 @@ def factor_end_periodic(op: Operator, tol: float = CHECK_TOL) -> EndPeriodicSpli
     # retract_periodic has bounded |B B* - I|, so raw's background is the
     # identity within tol
     raw = multiply(op, adjoint(periodic_part))
-    finite_part = _collapse(EndPeriodicOperator(identity(), raw.patch_radius, raw.patch))
+    finite_part = _patched(identity(), raw.dense_patch)
 
     residual = max_entry_difference(multiply(finite_part, periodic_part), op)
     if residual > tol:

@@ -11,8 +11,11 @@ def haar_unitary(size: int, rng: np.random.Generator) -> np.ndarray:
     The R factor's diagonal is rotated to be real positive, which makes the
     distribution exactly Haar and the draw deterministic given the rng state.
     """
-    z = (rng.standard_normal((size, size))
-         + 1j * rng.standard_normal((size, size))) / np.sqrt(2.0)
+    try:
+        z = (rng.standard_normal((size, size))
+             + 1j * rng.standard_normal((size, size))) / np.sqrt(2.0)
+    except ValueError as exc:  # a size numpy cannot address at all
+        raise MemoryError(str(exc)) from None
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))

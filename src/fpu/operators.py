@@ -12,12 +12,12 @@ one whose patch is empty, its own background with patch radius 0.  Shift
 operators, block-diagonal operators, single-block periodic embeddings and
 finite unitary insertions are all constructed into these classes, which are
 closed under product and adjoint.  Scalars are complex doubles; exact
-structure (indices, periods, radii) is integer.
+structure (indices, periods, radii) is integer.  Operators keep their data
+in read-only arrays built once; entries and patch are views derived from them.
 """
 
 from __future__ import annotations
 
-import cmath
 import types
 from dataclasses import dataclass
 from math import lcm
@@ -33,11 +33,47 @@ ZERO_TOL = 1e-12
 CHECK_TOL = 1e-9
 
 
-def _finite(v) -> complex:
-    v = complex(v)
-    if not cmath.isfinite(v):
-        raise ValidationError(f"entry value {v} is not finite")
-    return v
+def _validated(values: np.ndarray, rules=(), computed: bool = False) -> np.ndarray:
+    """Mask of the values above ZERO_TOL.  Raises ValidationError at the first
+    cell failing a rule, a (bad mask, message of a position) pair, or not
+    finite, then a NumericalError instead if the library computed the value."""
+    failed = ~np.isfinite(values)
+    for bad, _ in rules:
+        failed |= bad
+    if failed.any():
+        k = int(np.argmax(failed))
+        for bad, message in rules:
+            if bad[k]:
+                raise ValidationError(message(k))
+        v = complex(values.flat[k])
+        raise (NumericalError(f"computed value {v} is not finite") if computed
+               else ValidationError(f"entry value {v} is not finite"))
+    return np.abs(values) > ZERO_TOL
+
+
+def _mapping_cells(mapping: Mapping[Tuple[int, int], complex]):
+    """Index arrays of the keys and the value array of a mapping, in its order."""
+    try:
+        cells = np.array(list(mapping), dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # as Python ints these fail the range checks
+        cells = np.array(list(mapping), dtype=object).reshape(-1, 2)
+    return cells[:, 0], cells[:, 1], np.array(list(mapping.values()), dtype=complex)
+
+
+def _mapping(array: np.ndarray, row0: int, col0: int) -> Mapping:
+    """Read-only mapping of the nonzero cells of array, its [0, 0] at (row0, col0)."""
+    r, c = np.nonzero(array)
+    keys = zip((r + row0).tolist(), (c + col0).tolist())
+    return types.MappingProxyType(dict(zip(keys, array[r, c].tolist())))
+
+
+def _new(cls, *fields):  # fields in slot order; arrays become read-only
+    op = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(op, name, value)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return op
 
 
 class Operator:
@@ -52,9 +88,20 @@ class Operator:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @property
+    def patch(self) -> Mapping[Tuple[int, int], complex]:
+        return _mapping(self.dense_patch, -self.patch_radius, -self.patch_radius)
+
     def prop_bound(self) -> int:
         """Structural bound on |i-j| for nonzero entries."""
         return max(self.background.band, 2 * self.patch_radius - 1)
+
+    def adjoint(self) -> "Operator":
+        # U*[i, i + d] = conj(U[i + d, i]) over the background's period
+        bg = self.background
+        i, d = np.arange(bg.period)[:, None], np.arange(-bg.reach, bg.reach + 1)
+        star = _periodic(bg.period, bg.band, window(bg, i + d, i).conj())
+        return star if self is bg else _patched(star, self.dense_patch.conj().T)
 
     def __eq__(self, other) -> bool:
         # entrywise over a common refinement; tolerance matches the floating
@@ -75,52 +122,48 @@ class PeriodicBandOperator(Operator):
     entries maps (i, d) -> complex for 0 <= i < period, |d| <= band, and
     means U[i + t*n, i + t*n + d] = entries[(i, d)] for every integer t.
     Absent entries are zero.  Construction validates ranges and drops
-    near-zero values; it does not check unitarity.
+    near-zero values; it does not check unitarity.  diagonals[i, reach + 1 + d]
+    holds entries[(i, d)], reach the largest |d| stored; its edge columns are 0.
     """
 
-    __slots__ = ("period", "band", "entries")
+    __slots__ = ("period", "band", "diagonals")
 
     patch_radius = 0
-    # read-only, since every periodic operator shares it
-    patch = types.MappingProxyType({})
+    dense_patch = np.zeros((0, 0), dtype=complex)
 
-    def __init__(self, period: int, band: int,
-                 entries: Mapping[Tuple[int, int], complex]):
-        period = int(period)
-        band = int(band)
+    def __new__(cls, period: int, band: int,
+                entries: Mapping[Tuple[int, int], complex]):
+        period, band = int(period), int(band)
         if period < 1:
             raise ValidationError("period must be >= 1")
         if band < 0:
             raise ValidationError("band must be >= 0")
-        clean: Dict[Tuple[int, int], complex] = {}
-        for (i, d), v in entries.items():
-            i, d = int(i), int(d)
-            if not 0 <= i < period:
-                raise ValidationError(f"row index {i} outside [0, {period})")
-            if abs(d) > band:
-                raise ValidationError(f"band violation: |{d}| > band {band}")
-            v = _finite(v)
-            if abs(v) > ZERO_TOL:
-                clean[(i, d)] = v
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "band", band)
-        object.__setattr__(self, "entries", clean)
+        i, d, values = _mapping_cells(entries)
+        _validated(values, [
+            ((i < 0) | (i >= period),
+             lambda k: f"row index {i[k]} outside [0, {period})"),
+            (np.abs(d) > band, lambda k: f"band violation: |{d[k]}| > band {band}")])
+        h = int(np.abs(d).max(initial=0))
+        table = np.zeros((period, 2 * h + 1), dtype=complex)
+        table[i, d + h] = values
+        return _periodic(period, band, table)
+
+    @property
+    def reach(self) -> int:
+        return self.diagonals.shape[1] // 2 - 1
+
+    @property
+    def entries(self) -> Mapping[Tuple[int, int], complex]:
+        return _mapping(self.diagonals, 0, -self.reach - 1)
 
     @property
     def background(self) -> "PeriodicBandOperator":
         return self
 
     def entry(self, i: int, j: int) -> complex:
-        d = j - i
-        if abs(d) > self.band:
-            return 0j
-        return self.entries.get((i % self.period, d), 0j)
-
-    def adjoint(self) -> "PeriodicBandOperator":
-        adj = {}
-        for (i, d), v in self.entries.items():
-            adj[((i + d) % self.period, -d)] = v.conjugate()
-        return PeriodicBandOperator(self.period, self.band, adj)
+        edge = self.reach + 1  # offsets beyond the reach read a zero column
+        d = min(max(j - i, -edge), edge)
+        return complex(self.diagonals[i % self.period, d + edge])
 
     def __repr__(self):
         return (f"PeriodicBandOperator(period={self.period}, band={self.band}, "
@@ -134,30 +177,26 @@ class EndPeriodicOperator(Operator):
     explicit zero; outside it the entry is the background's.  Construction
     shrinks the window while its outer ring agrees with the background within
     ZERO_TOL, so padding a patch with background values canonicalizes away.
+    The (2R, 2R) array dense_patch holds patch[(i, j)] at [i + R, j + R].
     """
 
-    __slots__ = ("background", "patch_radius", "patch")
+    __slots__ = ("background", "patch_radius", "dense_patch")
 
-    def __init__(self, background: PeriodicBandOperator, patch_radius: int,
-                 patch: Mapping[Tuple[int, int], complex]):
+    def __new__(cls, background: PeriodicBandOperator, patch_radius: int,
+                patch: Mapping[Tuple[int, int], complex]):
         radius = int(patch_radius)
         if radius < 0:
             raise ValidationError("patch radius must be >= 0")
-        clean: Dict[Tuple[int, int], complex] = {}
-        for (i, j), v in patch.items():
-            i, j = int(i), int(j)
-            if not (-radius <= i < radius and -radius <= j < radius):
-                raise ValidationError(
-                    f"patch entry ({i}, {j}) outside window [-{radius}, {radius})")
-            v = _finite(v)
-            if abs(v) > ZERO_TOL:
-                clean[(i, j)] = v
-        object.__setattr__(self, "background", background)
-        object.__setattr__(self, "patch_radius", radius)
-        object.__setattr__(self, "patch", clean)
-        radius, clean = _shrink_patch(self)
-        object.__setattr__(self, "patch_radius", radius)
-        object.__setattr__(self, "patch", clean)
+        i, j, values = _mapping_cells(patch)
+        outside = (i < -radius) | (i >= radius) | (j < -radius) | (j >= radius)
+        keep = _validated(values, [(outside, lambda k: (
+            f"patch entry ({i[k]}, {j[k]}) outside window [-{radius}, {radius})"))])
+        i, j, values = i[keep], j[keep], values[keep]
+        if not background.diagonals.any():  # only the given cells can differ from it
+            radius = int(np.max([i + 1, -i, j + 1, -j], initial=0))
+        dense = np.zeros((2 * radius, 2 * radius), dtype=complex)
+        dense[i + radius, j + radius] = values
+        return _end_periodic(background, dense)
 
     @property
     def period(self) -> int:
@@ -166,77 +205,62 @@ class EndPeriodicOperator(Operator):
     def entry(self, i: int, j: int) -> complex:
         r = self.patch_radius
         if -r <= i < r and -r <= j < r:
-            return self.patch.get((i, j), 0j)
+            return complex(self.dense_patch[i + r, j + r])
         return self.background.entry(i, j)
-
-    def adjoint(self) -> "EndPeriodicOperator":
-        adj = {(j, i): v.conjugate() for (i, j), v in self.patch.items()}
-        return EndPeriodicOperator(self.background.adjoint(),
-                                   self.patch_radius, adj)
 
     def __repr__(self):
         return (f"EndPeriodicOperator(background={self.background!r}, "
                 f"patch_radius={self.patch_radius}, {len(self.patch)} patch entries)")
 
 
+def _periodic(period: int, band: int, table: np.ndarray,
+              computed: bool = False) -> PeriodicBandOperator:
+    """The periodic operator with U[i, i + d] = table[i, h + d], table of shape
+    (period, 2h + 1) with h <= band, once it passes _validated."""
+    keep = _validated(table, computed=computed)
+    h, used = table.shape[1] // 2, np.flatnonzero(keep.any(axis=0))
+    reach = int(max(h - used[0], used[-1] - h)) if len(used) else 0
+    diagonals = np.zeros((period, 2 * reach + 3), dtype=complex)
+    diagonals[:, 1:-1] = np.where(keep, table, 0)[:, h - reach:h + reach + 1]
+    return _new(PeriodicBandOperator, period, band, diagonals)
+
+
+def _end_periodic(background: PeriodicBandOperator, dense: np.ndarray,
+                  computed: bool = False) -> EndPeriodicOperator:
+    """background overridden by dense[i + R, j + R] on [-R, R)^2, once that
+    passes _validated, on the smallest window outside which the two agree: the
+    largest ring max(i + 1, -i, j + 1, -j) of a cell where they differ by more
+    than ZERO_TOL."""
+    r = dense.shape[0] // 2
+    cells, dense = np.arange(-r, r), np.where(_validated(dense, (), computed), dense, 0)
+    differs = np.abs(dense - window(background, cells[:, None], cells)) > ZERO_TOL
+    ring = np.maximum(cells + 1, -cells)
+    radius = int(max(ring[differs.any(axis=1)].max(initial=0),
+                     ring[differs.any(axis=0)].max(initial=0)))
+    return _new(EndPeriodicOperator, background, radius,
+                dense[r - radius:r + radius, r - radius:r + radius].copy())
+
+
+def _patched(background: PeriodicBandOperator, dense: np.ndarray,
+             computed: bool = False) -> Operator:
+    """_end_periodic, or just the background if the patch shrinks away."""
+    op = _end_periodic(background, dense, computed)
+    return op if op.patch_radius else background
+
+
 def window(op: Operator, rows, cols) -> np.ndarray:
     """Dense entries op[rows, cols] of integer index arrays broadcast as in
-    numpy indexing; window(op, rows[:, None], cols) is the rectangle.
-
-    The one place that reads the entries/patch storage: a lookup in a
-    (period, 2*band + 2) table of the background's diagonals, overridden
-    inside the patch window by the patch, where absent keys read as zero.
-    """
+    numpy indexing; window(op, rows[:, None], cols) is the rectangle."""
     bg = op.background
-    # offsets index the table as in numpy, negative ones from the end, so every
-    # offset beyond the band clips onto the zero column band + 1
-    table = np.zeros((bg.period, 2 * bg.band + 2), dtype=complex)
-    for (i, d), v in bg.entries.items():
-        table[i, d] = v
-    out = table[rows % bg.period, np.clip(cols - rows, -bg.band - 1, bg.band + 1)]
+    edge = bg.reach + 1
+    out = bg.diagonals[rows % bg.period,
+                       np.minimum(np.maximum(cols - rows, -edge), edge) + edge]
     r = op.patch_radius
     if r:
-        rows, cols = np.broadcast_arrays(rows, cols)
-        patch = np.zeros((2 * r, 2 * r), dtype=complex)
-        for (i, j), v in op.patch.items():
-            patch[i + r, j + r] = v
-        inside = (-r <= rows) & (rows < r) & (-r <= cols) & (cols < r)
-        out[inside] = patch[rows[inside] + r, cols[inside] + r]
+        inside = ((-r <= rows) & (rows < r)) & ((-r <= cols) & (cols < r))
+        flat = (rows + r) * (2 * r) + (cols + r)
+        out[inside] = op.dense_patch.ravel()[flat[inside]]
     return out
-
-
-def _shrink_patch(op: EndPeriodicOperator):
-    """Smallest patch window outside which op agrees with its background.
-
-    Cell (i, j) lies on ring max(i + 1, -i, j + 1, -j) of the window; the new
-    radius is the largest ring of any cell that differs from the background
-    by more than ZERO_TOL.  Only the stored cells and the background's band
-    can differ, so only those are read.
-    """
-    bg, diagonal = op.background, np.arange(-op.patch_radius, op.patch_radius)[:, None]
-    band = diagonal + np.arange(-bg.band, bg.band + 1)
-    keys = np.array(list(op.patch), dtype=np.int64).reshape(-1, 2)
-    rows = np.concatenate([np.broadcast_to(diagonal, band.shape).ravel(), keys[:, 0]])
-    cols = np.concatenate([band.ravel(), keys[:, 1]])
-    differs = np.abs(window(op, rows, cols) - window(bg, rows, cols)) > ZERO_TOL
-    ring = np.maximum.reduce([rows + 1, -rows, cols + 1, -cols])
-    radius = int(ring[differs].max(initial=0))
-    return radius, {(i, j): v for (i, j), v in op.patch.items()
-                    if max(i + 1, -i, j + 1, -j) <= radius}
-
-
-def _entries(dense: np.ndarray, row0: int, col0: int) -> Dict[Tuple[int, int], complex]:
-    """Storage dict of the nonzero cells of dense, its cell [0, 0] at (row0, col0)."""
-    rows, cols = np.nonzero(dense)
-    keys = zip((rows + row0).tolist(), (cols + col0).tolist())
-    return dict(zip(keys, dense[rows, cols].tolist()))
-
-
-def _collapse(op: EndPeriodicOperator) -> Operator:
-    """An end-periodic operator whose patch shrank away is just its background."""
-    if op.patch_radius == 0:
-        return op.background
-    return op
 
 
 # -- constructors -------------------------------------------------------------
@@ -269,12 +293,10 @@ def delta_embed(block: np.ndarray, k: int = 0) -> PeriodicBandOperator:
     m = np.asarray(block, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValidationError("block must be a square matrix")
-    size = m.shape[0]
-    entries: Dict[Tuple[int, int], complex] = {}
-    for r in range(size):
-        for c in range(size):
-            entries[((k + r) % size, c - r)] = m[r, c]
-    return PeriodicBandOperator(size, max(size - 1, 0), entries)
+    size, (r, c) = len(m), np.indices(m.shape)
+    table = np.zeros((size, 2 * size - 1), dtype=complex)
+    table[(k + r) % size, size - 1 + c - r] = m
+    return _periodic(size, size - 1, table)
 
 
 def block_diagonal(k: int, block_size: int, repeating: np.ndarray,
@@ -291,20 +313,15 @@ def block_diagonal(k: int, block_size: int, repeating: np.ndarray,
     bg = delta_embed(repeating, k)
     if not central:
         return bg
-    blocks = {}
-    for n, mat in central.items():
-        m = np.asarray(mat, dtype=complex)
-        if m.shape != (size, size):
-            raise ValidationError(f"central block {n} is not {size}x{size}")
-        blocks[int(n)] = m
-    radius = max(max(-(k + n * size), k + (n + 1) * size) for n in blocks)
-    radius = max(radius, 1)
+    radius = max(1, *(max(-k - n * size, k + (n + 1) * size) for n in map(int, central)))
     cells = np.arange(-radius, radius)
     dense = window(bg, cells[:, None], cells)
-    for n, m in blocks.items():
-        base = k + n * size + radius
+    for n, m in central.items():
+        if np.shape(m) != (size, size):
+            raise ValidationError(f"central block {n} is not {size}x{size}")
+        base = k + int(n) * size + radius
         dense[base:base + size, base:base + size] = m
-    return _collapse(EndPeriodicOperator(bg, radius, _entries(dense, -radius, -radius)))
+    return _patched(bg, dense)
 
 
 def embed_finite(matrix: np.ndarray) -> Operator:
@@ -312,13 +329,9 @@ def embed_finite(matrix: np.ndarray) -> Operator:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("matrix must be square")
-    size = m.shape[0]
-    if size == 0 or size % 2:
+    if len(m) == 0 or len(m) % 2:
         raise ValidationError("matrix size must be a positive even number")
-    half = size // 2
-    patch = {(-half + r, -half + c): m[r, c]
-             for r in range(size) for c in range(size)}
-    return _collapse(EndPeriodicOperator(identity(), half, patch))
+    return _patched(identity(), m)
 
 
 # -- algebra -------------------------------------------------------------------
@@ -336,7 +349,7 @@ def _multiply_periodic(a: PeriodicBandOperator,
     product = window(a, rows, mid) @ window(b, mid[:, None], np.arange(-band, n + band))
     # row i of product holds columns i - band .. i + band at i .. i + 2*band
     diagonals = product[rows, rows + np.arange(2 * band + 1)]
-    return PeriodicBandOperator(n, band, _entries(diagonals, 0, -band))
+    return _periodic(n, band, diagonals, computed=True)
 
 
 def multiply(a: Operator, b: Operator) -> Operator:
@@ -356,7 +369,7 @@ def multiply(a: Operator, b: Operator) -> Operator:
     cells = np.arange(-radius, radius)
     mid = np.arange(-radius - pa, radius + pa)  # every k a window row reaches
     product = window(a, cells[:, None], mid) @ window(b, mid[:, None], cells)
-    return _collapse(EndPeriodicOperator(bg, radius, _entries(product, -radius, -radius)))
+    return _patched(bg, product, computed=True)
 
 
 def propagation(op: Operator, tol: float = 0.0) -> int:
@@ -427,7 +440,8 @@ class StateVector:
     __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes: Mapping[int, complex]):
-        amps = {int(i): c for i, v in amplitudes.items() if (c := _finite(v))}
+        _validated(values := np.array(list(amplitudes.values()), dtype=complex))
+        amps = {int(i): v for i, v in zip(amplitudes, values.tolist()) if v}
         object.__setattr__(self, "amplitudes", amps)
 
     def __setattr__(self, name, value):
@@ -460,4 +474,5 @@ def apply_state(op: Operator, psi: StateVector) -> StateVector:
         for i, w in zip(rows, window(op, np.asarray(rows), j).tolist()):
             if w != 0:
                 out[i] = out.get(i, 0j) + w * v
+    _validated(np.array(list(out.values()), dtype=complex), computed=True)
     return StateVector(out)

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fpu
@@ -203,6 +204,41 @@ def test_input_too_large_for_memory_exits_two():
     result = run_command(["op", "synth", "--seed", "1", "--block", "100000000"])
     assert result.exit_code == 2
     assert result.stderr.startswith("error: input too large to evaluate in memory")
+
+
+def test_size_numpy_cannot_address_exits_two():
+    # 1e20 doubles: numpy refuses the shape before any allocation is tried
+    result = run_command(["op", "synth", "--seed", "1", "--block", "10000000000"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: input too large to evaluate in memory")
+
+
+def test_overflowing_apply_exits_two():
+    # each amplitude is finite; their rotated sums overflow to inf
+    result = run_command(["op", "apply", fixture("rot.op"),
+                          "--amp", "0", "1.7e308", "0", "--amp", "1", "1.7e308", "0"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: computed value (inf+0j) is not finite\n"
+
+
+def test_overflowing_product_exits_two(tmp_path):
+    path = tmp_path / "big.op"
+    path.write_text("FPUOP 1\nperiod 1\nband 0\nbg 0 0 1e200 0\nEND\n")
+    with np.errstate(over="ignore"):
+        result = run_command(["op", "mul", str(path), str(path)])
+    assert result.exit_code == 2
+    assert result.stderr == "error: computed value (inf+0j) is not finite\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["op", "index", "--help"],
+                                  ["seq", "divide", "-h"]])
+def test_help_is_returned_not_printed(capsys, argv):
+    result = run_command(argv)
+    assert result.exit_code == 0
+    assert result.stdout.startswith("usage: fpu " + " ".join(argv[:-1]))
+    assert result.stderr == ""
+    assert capsys.readouterr() == ("", "")
 
 
 def test_unwritable_output_exits_one(tmp_path):

@@ -3,8 +3,10 @@ arithmetic over an index window wide enough that truncation cannot leak in."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fpu.cli import serialize_operator
+from fpu.cli import parse_operator_text, serialize_operator
 from fpu.errors import ValidationError
 from fpu.matutil import haar_unitary
 from fpu.operators import (EndPeriodicOperator, PeriodicBandOperator,
@@ -181,6 +183,19 @@ def test_patch_interior_deviation_shrinks_to_its_ring():
 def test_patch_out_of_window_rejected():
     with pytest.raises(ValidationError):
         EndPeriodicOperator(identity(), 1, {(1, 0): 0.5})
+
+
+def test_indices_beyond_int64_fail_the_range_checks():
+    with pytest.raises(ValidationError, match=r"^patch entry \(100000000000000000000, 0\)"):
+        EndPeriodicOperator(identity(), 1, {(10 ** 20, 0): 0.5})
+    with pytest.raises(ValidationError, match=r"^band violation: \|-100000000000000000000\|"):
+        PeriodicBandOperator(1, 1, {(0, -10 ** 20): 0.5})
+
+
+def test_wide_window_over_zero_background_shrinks_without_a_dense_window():
+    # only the given cell differs from a zero background: no (2R)^2 array
+    op = EndPeriodicOperator(PeriodicBandOperator(1, 1, {}), 100000, {(5, -3): 0.5})
+    assert op.patch_radius == 6 and op.patch == {(5, -3): 0.5}
 
 
 def test_periodic_operator_is_its_own_background_with_empty_patch():
@@ -422,3 +437,88 @@ def test_apply_matches_dense(rng):
     result = apply_state(op, psi)
     for i in range(-w // 2, w // 2):
         assert abs(result[i] - out[w + i]) <= 1e-12
+
+
+# -- properties of the storage ---------------------------------------------------------
+# Operators reach storage two ways: mappings (files, callers) and arrays the
+# library computes.  Both must land on one canonical form, byte for byte.
+
+# small values, exact zeros and values below the canonicalization threshold
+values = (st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+          | st.sampled_from([0j, 1e-13 + 0j, -1e-13j]))
+# a product adds +0.0 to every part, which turns a -0.0 part into 0.0
+unsigned_zero_values = values.map(lambda v: v + 0j)
+
+
+def cell_dict(draw, cells, value):
+    return draw(st.dictionaries(st.sampled_from(cells), value)) if cells else {}
+
+
+@st.composite
+def padded_patches(draw, value=values):
+    """A background, a patch on [-r, r)^2, and the same patch declared on a
+    wider window whose extra rings hold the background's values."""
+    period, band = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    cells = [(i, d) for i in range(period) for d in range(-band, band + 1)]
+    bg = PeriodicBandOperator(period, band, cell_dict(draw, cells, value))
+    radius, pad = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    window_cells = [(i, j) for i in range(-radius, radius) for j in range(-radius, radius)]
+    patch = cell_dict(draw, window_cells, value)
+    padded = dict(patch)
+    outer = radius + pad
+    for i in range(-outer, outer):
+        for j in range(-outer, outer):
+            if max(i + 1, -i, j + 1, -j) > radius:
+                padded[(i, j)] = bg.entry(i, j)
+    return bg, radius, patch, outer, padded
+
+
+@st.composite
+def storage_operators(draw, value=values):
+    bg, radius, patch, outer, padded = draw(padded_patches(value))
+    if draw(st.booleans()):
+        return bg
+    return EndPeriodicOperator(bg, outer, padded)
+
+
+@given(padded_patches())
+@settings(max_examples=80)
+def test_padding_with_background_values_shrinks_away(case):
+    bg, radius, patch, outer, padded = case
+    assert (serialize_operator(EndPeriodicOperator(bg, outer, padded))
+            == serialize_operator(EndPeriodicOperator(bg, radius, patch)))
+
+
+@given(storage_operators())
+@settings(max_examples=80)
+def test_serialize_parse_round_trip(op):
+    text = serialize_operator(op)
+    again = parse_operator_text(text)
+    assert serialize_operator(again) == text
+    assert again == op
+
+
+@given(storage_operators(unsigned_zero_values))
+@settings(max_examples=80)
+def test_products_with_identity_serialize_as_mapping_built(op):
+    # the product rebuilds the same entries through the array path
+    text = serialize_operator(op)
+    assert serialize_operator(multiply(op, identity())) == text
+    assert serialize_operator(multiply(identity(), op)) == text
+
+
+@given(storage_operators())
+@settings(max_examples=80)
+def test_double_adjoint_serializes_as_mapping_built(op):
+    assert serialize_operator(adjoint(adjoint(op))) == serialize_operator(op)
+
+
+@given(st.integers(1, 3).flatmap(lambda half: st.lists(
+    values, min_size=4 * half * half, max_size=4 * half * half)))
+@settings(max_examples=60)
+def test_embed_finite_matches_mapping_storage(flat):
+    size = int(np.sqrt(len(flat)))
+    m, half = np.array(flat, dtype=complex).reshape(size, size), size // 2
+    mapped = EndPeriodicOperator(identity(), half, {
+        (r - half, c - half): m[r, c] for r in range(size) for c in range(size)})
+    assert serialize_operator(embed_finite(m)) == serialize_operator(mapped)
