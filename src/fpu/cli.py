@@ -40,6 +40,8 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from . import gnvw, sequences
 from .errors import NumericalError, ValidationError
 from .operators import (CHECK_TOL, EndPeriodicOperator, Operator,
@@ -410,8 +412,11 @@ def run_command(argv: Sequence[str]) -> CommandResult:
     try:
         args = _PARSER.parse_args(list(argv))
         out = _Emitter(porcelain=args.porcelain)
+        # an overflow surfaces as a non-finite value, which the handlers report
+        with np.errstate(over="ignore", invalid="ignore"):
+            produced = args.run(args, out) or ()
         texts = [serialize_operator(x) if isinstance(x, Operator) else serialize_seq(x)
-                 for x in args.run(args, out) or ()]
+                 for x in produced]
         _write_outputs(out, getattr(args, "output", None), texts)
         return CommandResult(exit_code=0, stdout=out.text())
     except _Parser.Help as help_text:

@@ -17,7 +17,7 @@ retraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd
 from typing import Optional
 
 import numpy as np
@@ -79,6 +79,9 @@ def index(op: Operator, tol: float = INDEX_TOL) -> IndexReport:
     hs_mp = float(np.sum(np.abs(cd.minus_plus) ** 2))
     hs_pm = float(np.sum(np.abs(cd.plus_minus) ** 2))
     raw = hs_mp - hs_pm
+    if not np.isfinite(raw):  # squares of finite entries can overflow
+        raise NumericalError(f"index {raw!r} is not finite; "
+                             "input is not a clean banded unitary")
     rounded = int(round(raw))
     deviation = abs(raw - rounded)
 
@@ -135,13 +138,11 @@ def _projection_window(op: Operator, half: int) -> np.ndarray:
 
 
 def _block_scale(op: Operator) -> int:
-    """Block half-size for the factorization: a common multiple of the
-    propagation and the period, at least the patch radius."""
-    base = lcm(max(propagation(op), 1), op.period)
-    scale = base
-    while scale < op.patch_radius:
-        scale += base
-    return scale
+    """Block half-size h for the factorization: the smallest h >= max(propagation,
+    patch radius, 1) with period | 2h, so the defect windows of U* P_m U - P_m
+    for m on the 2h grid are disjoint translates of one another."""
+    step = op.period // gcd(op.period, 2)  # period | 2h exactly when step | h
+    return -(-max(propagation(op), op.patch_radius, 1) // step) * step
 
 
 def _pattern_leakage(op: Operator, block: int) -> float:

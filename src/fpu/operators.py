@@ -67,6 +67,15 @@ def _mapping(array: np.ndarray, row0: int, col0: int) -> Mapping:
     return types.MappingProxyType(dict(zip(keys, array[r, c].tolist())))
 
 
+def _zeros(rows: int, cols: int) -> np.ndarray:
+    """Complex zeros of a shape read from the input.  numpy refuses a shape it
+    cannot address with a ValueError; that is a MemoryError here."""
+    try:
+        return np.zeros((rows, cols), dtype=complex)
+    except ValueError as exc:
+        raise MemoryError(str(exc)) from None
+
+
 def _new(cls, *fields):  # fields in slot order; arrays become read-only
     op = object.__new__(cls)
     for name, value in zip(cls.__slots__, fields):
@@ -93,8 +102,8 @@ class Operator:
         return _mapping(self.dense_patch, -self.patch_radius, -self.patch_radius)
 
     def prop_bound(self) -> int:
-        """Structural bound on |i-j| for nonzero entries."""
-        return max(self.background.band, 2 * self.patch_radius - 1)
+        """Bound on |i-j| of nonzero entries, wide enough to span the patch window."""
+        return max(self.background.reach, 2 * self.patch_radius - 1)
 
     def adjoint(self) -> "Operator":
         # U*[i, i + d] = conj(U[i + d, i]) over the background's period
@@ -144,7 +153,7 @@ class PeriodicBandOperator(Operator):
              lambda k: f"row index {i[k]} outside [0, {period})"),
             (np.abs(d) > band, lambda k: f"band violation: |{d[k]}| > band {band}")])
         h = int(np.abs(d).max(initial=0))
-        table = np.zeros((period, 2 * h + 1), dtype=complex)
+        table = _zeros(period, 2 * h + 1)
         table[i, d + h] = values
         return _periodic(period, band, table)
 
@@ -194,7 +203,7 @@ class EndPeriodicOperator(Operator):
         i, j, values = i[keep], j[keep], values[keep]
         if not background.diagonals.any():  # only the given cells can differ from it
             radius = int(np.max([i + 1, -i, j + 1, -j], initial=0))
-        dense = np.zeros((2 * radius, 2 * radius), dtype=complex)
+        dense = _zeros(2 * radius, 2 * radius)
         dense[i + radius, j + radius] = values
         return _end_periodic(background, dense)
 
@@ -343,40 +352,41 @@ def adjoint(op: Operator) -> Operator:
 def _multiply_periodic(a: PeriodicBandOperator,
                        b: PeriodicBandOperator) -> PeriodicBandOperator:
     n = lcm(a.period, b.period)
-    band = a.band + b.band
+    reach = a.reach + b.reach
     rows = np.arange(n)[:, None]
-    mid = np.arange(-a.band, n + a.band)  # every k a row of a reaches
-    product = window(a, rows, mid) @ window(b, mid[:, None], np.arange(-band, n + band))
-    # row i of product holds columns i - band .. i + band at i .. i + 2*band
-    diagonals = product[rows, rows + np.arange(2 * band + 1)]
-    return _periodic(n, band, diagonals, computed=True)
+    mid = np.arange(-a.reach, n + a.reach)  # every k a row of a reaches
+    product = window(a, rows, mid) @ window(b, mid[:, None], np.arange(-reach, n + reach))
+    # row i of product holds columns i - reach .. i + reach at i .. i + 2*reach
+    diagonals = product[rows, rows + np.arange(2 * reach + 1)]
+    return _periodic(n, a.band + b.band, diagonals, computed=True)
 
 
 def multiply(a: Operator, b: Operator) -> Operator:
     """Exact banded product; propagation is subadditive by construction.
 
-    The patch window of the result is a conservative envelope around both
-    input patches, computed as one dense window product; the constructor's
-    shrink pass trims it back to the rows that actually deviate from the
-    background product.
+    The result's patch window starts as the envelope outside which AB equals
+    the product of the backgrounds, computed as one dense window product; the
+    constructor's shrink pass trims it to the rows that actually deviate from
+    the background product.
     """
-    if isinstance(a, PeriodicBandOperator) and isinstance(b, PeriodicBandOperator):
-        return _multiply_periodic(a, b)
     bg = _multiply_periodic(a.background, b.background)
-    pa = a.prop_bound()
-    radius = (max(a.patch_radius, b.patch_radius, 1)
-              + lcm(a.period, b.period) + pa + b.prop_bound())
+    ra, rb = a.patch_radius, b.patch_radius
+    if not (ra or rb):
+        return bg
+    # AB - A0 B0 = (A - A0) B + A0 (B - B0): the first term lies within p(b) of
+    # [-Ra, Ra)^2 and is 0 if Ra = 0, the second within p(A0) <= p(a) of [-Rb, Rb)^2
+    pa = propagation(a)
+    radius = max(ra + propagation(b) if ra else 0, rb + pa if rb else 0)
     cells = np.arange(-radius, radius)
     mid = np.arange(-radius - pa, radius + pa)  # every k a window row reaches
     product = window(a, cells[:, None], mid) @ window(b, mid[:, None], cells)
     return _patched(bg, product, computed=True)
 
 
-def propagation(op: Operator, tol: float = 0.0) -> int:
-    """Largest |i-j| with |entry| > tol over one period plus the patch window."""
-    reach = [abs(d) for (_, d), v in op.background.entries.items() if abs(v) > tol]
-    reach += [abs(i - j) for (i, j), v in op.patch.items() if abs(v) > tol]
-    return max(reach, default=0)
+def propagation(op: Operator) -> int:
+    """Largest |i-j| of a nonzero entry over one period plus the patch window."""
+    i, j = np.nonzero(op.dense_patch)
+    return max(op.background.reach, int(np.abs(i - j).max(initial=0)))
 
 
 def max_entry_difference(a: Operator, b: Operator) -> float:

@@ -6,6 +6,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,29 @@ def test_index_trace_mismatch_exits_two():
     assert "trace check" in result.stderr
 
 
+def test_index_window_covers_a_non_unitary_patch(tmp_path):
+    # ones at (-1, -1) and (0, 0) over zeros in [-8, 8)^2 have propagation 0;
+    # only a window as wide as the patch sees columns 1 .. 7 carry no norm
+    path = tmp_path / "u.op"
+    path.write_text("FPUOP 1\nperiod 1\nband 0\npatch-radius 8\nbg 0 0 1.0 0.0\n"
+                    "patch -1 -1 1.0 0.0\npatch 0 0 1.0 0.0\nEND\n")
+    result = run_command(["op", "index", str(path)])
+    assert result.exit_code == 2
+    assert "trace check" in result.stderr
+
+
+@pytest.mark.parametrize("command, line", [("check", "unitary true"),
+                                           ("index", "index 1")])
+def test_declared_band_sets_no_cost(tmp_path, command, line):
+    # the shift declared with band 1000000: every window follows its one
+    # diagonal, where one as wide as the band could not be allocated
+    path = tmp_path / "s.op"
+    path.write_text("FPUOP 1\nperiod 1\nband 1000000\nbg 0 1 1.0 0.0\nEND\n")
+    result = run_command(["op", command, str(path)])
+    assert result.exit_code == 0
+    assert result.stdout.splitlines()[0] == line
+
+
 @pytest.mark.parametrize("command, radius, body", [
     ("check", 0, "bg 0 0 1.0 0.0\nbg 0 1 nan 0.0"),  # was: unitary true
     ("index", 0, "bg 0 1 1.0 0.0\nbg 0 0 inf 0.0"),  # was: index 1
@@ -213,6 +237,18 @@ def test_size_numpy_cannot_address_exits_two():
     assert result.stderr.startswith("error: input too large to evaluate in memory")
 
 
+@pytest.mark.parametrize("sizes", [
+    "period 100000000000000000000000\nband 0",
+    "period 1\nband 0\npatch-radius 100000000000000000000",
+], ids=["period", "patch-radius"])
+def test_declared_size_numpy_cannot_address_exits_two(tmp_path, sizes):
+    path = tmp_path / "huge.op"
+    path.write_text(f"FPUOP 1\n{sizes}\nbg 0 0 1.0 0.0\nEND\n")
+    result = run_command(["op", "check", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: input too large to evaluate in memory: ")
+
+
 def test_overflowing_apply_exits_two():
     # each amplitude is finite; their rotated sums overflow to inf
     result = run_command(["op", "apply", fixture("rot.op"),
@@ -229,6 +265,20 @@ def test_overflowing_product_exits_two(tmp_path):
         result = run_command(["op", "mul", str(path), str(path)])
     assert result.exit_code == 2
     assert result.stderr == "error: computed value (inf+0j) is not finite\n"
+
+
+@pytest.mark.parametrize("command", ["index", "check", "mul"])
+def test_overflow_exits_two_with_one_line(tmp_path, command):
+    # every entry is finite; their squares and products overflow, and numpy
+    # warns of it unless told not to
+    path = tmp_path / "big.op"
+    path.write_text("FPUOP 1\nperiod 1\nband 1\nbg 0 0 1e200 0\nbg 0 1 1e200 0\nEND\n")
+    files = [str(path)] * (2 if command == "mul" else 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_command(["op", command, *files])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["op", "index", "--help"],

@@ -13,7 +13,7 @@ from fpu.operators import (EndPeriodicOperator, PeriodicBandOperator,
                            adjoint, block_diagonal, delta_embed, embed_finite,
                            identity, make_periodic, make_shift,
                            max_entry_difference, multiply, operators_close,
-                           unitarity_residual)
+                           propagation, unitarity_residual)
 
 from conftest import dense_window
 from test_operators import random_storage_operator
@@ -194,11 +194,26 @@ def test_decompose_diagonal_patch_wider_than_propagation():
 
 
 def test_decompose_large_block_grid():
-    # period 4 and propagation 3 force the 24-wide block grid
+    # propagation 3 and period 4 force h = 4, the smallest h >= 3 with 4 | 2h
     op = synth_random(0, 4, 1, 0, seed=3)
     result = decompose(op)
-    assert result.block_size == 24
+    assert result.block_size == 8
     check_decomposition(op, result)
+
+
+def test_decompose_uses_the_smallest_block_grid():
+    # half-size h: the smallest h >= max(propagation, R, 1) with period | 2h
+    rng = np.random.default_rng(5)
+    for period in range(1, 7):
+        for block in range(1, 6):
+            op = synth_random(0, period, block, (period + block) % 3,
+                              seed=int(rng.integers(0, 2 ** 32)))
+            result = decompose(op)
+            h = max(propagation(op), op.patch_radius, 1)
+            while (2 * h) % op.period:
+                h += 1
+            assert result.block_size == 2 * h
+            check_decomposition(op, result)
 
 
 @pytest.mark.parametrize("end_periodic", [False, True])

@@ -295,6 +295,22 @@ def test_multiply_end_periodic_matches_dense(rng):
         assert_product_matches_dense(a, b)
 
 
+# two entries in a radius-8 window over a nonzero background: propagation 2,
+# far below the window's 2R - 1, so the product's envelope is at its tightest
+SPARSE_PATCH = EndPeriodicOperator(delta_embed(ROT, 1), 8, {(-8, -6): 0.5, (5, 6): -0.25j})
+
+
+@pytest.mark.parametrize("pair", ["storage", "sparse-patch"])
+def test_multiply_matches_dense_oracle_beyond_haar_patches(rng, pair):
+    for _ in range(12):
+        if pair == "storage":
+            a, b = (random_storage_operator(rng, rng.integers(0, 2) == 0) for _ in "ab")
+        else:
+            a, b = SPARSE_PATCH, random_operator(rng, end_periodic=rng.integers(0, 2) == 0)
+        assert_product_matches_dense(a, b)
+        assert_product_matches_dense(b, a)
+
+
 def test_multiply_periodic_times_end_periodic(rng):
     # both orders of mixed kinds against the dense oracle
     for _ in range(4):
