@@ -201,10 +201,18 @@ class EndPeriodicOperator(Operator):
         keep = _validated(values, [(outside, lambda k: (
             f"patch entry ({i[k]}, {j[k]}) outside window [-{radius}, {radius})"))])
         i, j, values = i[keep], j[keep], values[keep]
-        if not background.diagonals.any():  # only the given cells can differ from it
-            radius = int(np.max([i + 1, -i, j + 1, -j], initial=0))
-        dense = _zeros(2 * radius, 2 * radius)
-        dense[i + radius, j + radius] = values
+        # scatter only within the outermost ring of a cell that differs from the
+        # background: a given one, or an explicit zero on a nonzero diagonal
+        ring = np.max([i, -1 - i, j, -1 - j], axis=0)  # ring - 1, which cannot overflow
+        row = (i % background.period).astype(np.int64)
+        edge = background.reach + 1  # offsets clipped this far read a zero column
+        base = window(background, row, row + np.clip(j - i, -edge, edge).astype(np.int64))
+        differs = np.abs(values - base) > ZERO_TOL
+        radius = _explicit_zero_ring(background, radius, i, j,
+                                     int(ring[differs].max(initial=-1)) + 1)
+        dense, inner = _zeros(2 * radius, 2 * radius), ring < radius
+        dense[(i[inner] + radius).astype(np.int64),
+              (j[inner] + radius).astype(np.int64)] = values[inner]
         return _end_periodic(background, dense)
 
     @property
@@ -220,6 +228,33 @@ class EndPeriodicOperator(Operator):
     def __repr__(self):
         return (f"EndPeriodicOperator(background={self.background!r}, "
                 f"patch_radius={self.patch_radius}, {len(self.patch)} patch entries)")
+
+
+def _explicit_zero_ring(background: PeriodicBandOperator, radius: int,
+                        i: np.ndarray, j: np.ndarray, ring: int) -> int:
+    """The larger of ring and the outermost ring of a cell of [-radius, radius)^2
+    on a nonzero background diagonal that the given cells (i, j) leave out.
+    The ring is convex along a diagonal, so it peaks at the first cell missing
+    from either end; the walk to it passes only given cells above ring."""
+    if ring >= radius:  # no cell of the window lies further out
+        return ring
+    given = set(zip(i.tolist(), j.tolist()))
+
+    def on(r, c):  # the ring of cell (r, c)
+        return max(r + 1, -r, c + 1, -c)
+
+    n, edge = background.period, background.reach + 1
+    for row, col in zip(*np.nonzero(background.diagonals)):
+        d = int(col) - edge  # x runs over the rows = row mod n with x, x + d inside
+        lo, hi = max(-radius, -radius - d), min(radius, radius - d) - 1
+        x, y = lo + (int(row) - lo) % n, hi - (hi - int(row)) % n
+        while x <= y and on(x, x + d) > ring and (x, x + d) in given:
+            x += n
+        while x <= y and on(y, y + d) > ring and (y, y + d) in given:
+            y -= n
+        if x <= y:
+            ring = max(ring, on(x, x + d), on(y, y + d))
+    return ring
 
 
 def _periodic(period: int, band: int, table: np.ndarray,
@@ -349,38 +384,33 @@ def adjoint(op: Operator) -> Operator:
     return op.adjoint()
 
 
-def _multiply_periodic(a: PeriodicBandOperator,
-                       b: PeriodicBandOperator) -> PeriodicBandOperator:
-    n = lcm(a.period, b.period)
-    reach = a.reach + b.reach
-    rows = np.arange(n)[:, None]
-    mid = np.arange(-a.reach, n + a.reach)  # every k a row of a reaches
-    product = window(a, rows, mid) @ window(b, mid[:, None], np.arange(-reach, n + reach))
-    # row i of product holds columns i - reach .. i + reach at i .. i + 2*reach
-    diagonals = product[rows, rows + np.arange(2 * reach + 1)]
-    return _periodic(n, a.band + b.band, diagonals, computed=True)
-
-
 def multiply(a: Operator, b: Operator) -> Operator:
     """Exact banded product; propagation is subadditive by construction.
 
-    The result's patch window starts as the envelope outside which AB equals
-    the product of the backgrounds, computed as one dense window product; the
-    constructor's shrink pass trims it to the rows that actually deviate from
-    the background product.
+    One dense window product over rows [-R, R + n) holds both parts: rows
+    [-R, R) the envelope outside which AB equals the product of the
+    backgrounds, rows [R, R + n) one period n of that background product.
+    The constructor's shrink pass trims the envelope to the rows that actually
+    deviate from the background product.
     """
-    bg = _multiply_periodic(a.background, b.background)
-    ra, rb = a.patch_radius, b.patch_radius
-    if not (ra or rb):
-        return bg
     # AB - A0 B0 = (A - A0) B + A0 (B - B0): the first term lies within p(b) of
     # [-Ra, Ra)^2 and is 0 if Ra = 0, the second within p(A0) <= p(a) of [-Rb, Rb)^2
-    pa = propagation(a)
+    ra, rb, pa = a.patch_radius, b.patch_radius, propagation(a)
     radius = max(ra + propagation(b) if ra else 0, rb + pa if rb else 0)
-    cells = np.arange(-radius, radius)
-    mid = np.arange(-radius - pa, radius + pa)  # every k a window row reaches
-    product = window(a, cells[:, None], mid) @ window(b, mid[:, None], cells)
-    return _patched(bg, product, computed=True)
+    a0, b0 = a.background, b.background
+    n, reach = lcm(a0.period, b0.period), a0.reach + b0.reach
+    mid = np.arange(-radius - pa, radius + n + pa)  # every index a row of a reaches
+    product = (window(a, np.arange(-radius, radius + n)[:, None], mid)
+               @ window(b, mid[:, None], np.arange(-radius - reach, radius + n + reach)))
+    product += 0.0  # some BLAS kernels leave a zero sum as -0.0
+    # row i of the table is the row of [R, R + n) equal to i mod n, at index k;
+    # it holds columns i - reach .. i + reach from index k on
+    k = (2 * radius + (np.arange(n) - radius) % n)[:, None]
+    bg = _periodic(n, a0.band + b0.band, product[k, k + np.arange(2 * reach + 1)],
+                   computed=True)
+    if not radius:
+        return bg
+    return _patched(bg, product[:2 * radius, reach:reach + 2 * radius], computed=True)
 
 
 def propagation(op: Operator) -> int:
@@ -393,12 +423,12 @@ def max_entry_difference(a: Operator, b: Operator) -> float:
     """sup |a_ij - b_ij|, evaluated over a window wide enough to witness it.
 
     The rows cover both patch windows and one full common background period
-    beyond on each side; every row outside the patch windows is a background
-    row, so it repeats a row inside.  Each row spans both bands.
+    past them; every row outside the patch windows is a background row, so it
+    repeats a row of that period.  Each row spans both bands.
     """
     prop = max(a.prop_bound(), b.prop_bound(), 1)
-    reach = max(a.patch_radius, b.patch_radius) + lcm(a.period, b.period)
-    rows = np.arange(-reach, reach)[:, None]
+    radius = max(a.patch_radius, b.patch_radius)
+    rows = np.arange(-radius, radius + lcm(a.period, b.period))[:, None]
     cols = rows + np.arange(-prop, prop + 1)
     return float(np.max(np.abs(window(a, rows, cols) - window(b, rows, cols))))
 

@@ -309,6 +309,14 @@ def beta_interleave(a: EventuallyPeriodicSeq,
     return from_window(val, lo, hi, pl, pr)
 
 
+def _prefix(a: EventuallyPeriodicSeq, j: int) -> int:
+    """Partial sum of a between 0 and j: a_0 + ... + a_{j-1} for j >= 0 and
+    -(a_j + ... + a_{-1}) below, so _prefix(a, j + 1) - _prefix(a, j) = a_j."""
+    if j >= 0:
+        return sum(a.at(k) for k in range(0, j))
+    return -sum(a.at(k) for k in range(j, 0))
+
+
 def in_image_one_minus_s(a: EventuallyPeriodicSeq) -> MembershipResult:
     """Decide a in Im(1-S) and produce a witness c with c - Sc = a.
 
@@ -318,13 +326,7 @@ def in_image_one_minus_s(a: EventuallyPeriodicSeq) -> MembershipResult:
     """
     if sum(a.right) != 0 or sum(a.left) != 0:
         return MembershipResult(False, None)
-
-    def c_val(j: int) -> int:
-        if j >= 0:
-            return -sum(a.at(k) for k in range(0, j))
-        return sum(a.at(k) for k in range(j, 0))
-
-    witness = from_window(c_val, a.offset, a.core_end,
+    witness = from_window(lambda j: -_prefix(a, j), a.offset, a.core_end,
                           len(a.left), len(a.right))
     return MembershipResult(True, witness)
 
@@ -348,18 +350,10 @@ def divide_class(a: EventuallyPeriodicSeq, n: int) -> DivisionWitness:
     if n < 1:
         raise ValidationError("divisor must be a positive integer")
 
-    def prefix(j: int) -> int:
-        if j >= 0:
-            return sum(a.at(k) for k in range(0, j))
-        return -sum(a.at(k) for k in range(j, 0))
-
-    def c_val(j: int) -> int:
-        return (-prefix(j)) % n
-
     drift_r = sum(a.right) % n
     drift_l = sum(a.left) % n
     pr = len(a.right) * (n // gcd(drift_r, n))
     pl = len(a.left) * (n // gcd(drift_l, n))
-    c = from_window(c_val, a.offset, a.core_end, pl, pr)
+    c = from_window(lambda j: (-_prefix(a, j)) % n, a.offset, a.core_end, pl, pr)
     b = a.sub(c.one_minus_s()).exact_div(n)
     return DivisionWitness(b=b, c=c)

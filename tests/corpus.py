@@ -1,0 +1,183 @@
+"""Seeded byte-identity corpus of `fpu` runs, for comparing two source trees.
+
+Record the corpus with one tree's `src` on PYTHONPATH, then compare two records:
+
+    PYTHONPATH=src python tests/corpus.py OUT.json
+    python tests/corpus.py --compare A.json B.json
+
+The corpus synthesizes 72 operators with `op synth` and runs `index`, `check`,
+`adjoint`, `apply --delta 1`, `decompose`, `factor`, `retract` and `mul` (with
+the next operator, both orders) on each; then it writes 60 sequences and runs
+`member`, `divide`, `equal`, `blocksum`, `reduce3`, `alpha` and `add` on them.
+Each run is recorded with its exit code, stdout, stderr and the files it
+wrote.  The comparison prints, per command, how many runs are byte-identical,
+how many exit codes differ, how many outputs differ in more than numbers (a
+`decompose` may pick another basis) and the largest difference between
+numbers that stand in the same place.  `decompose` exits 0 only when its own
+leakage, reconstruction and block checks pass.  Not collected by pytest.
+"""
+
+import argparse
+import json
+import os
+import sys
+import tempfile
+from collections import defaultdict
+
+import numpy as np
+
+OPERATORS = 72
+SEQUENCES = 60
+
+
+def _operator_runs(rng):
+    """argv lists: one synth per operator, then the commands on each file."""
+    runs = []
+    for k in range(OPERATORS):
+        period, block = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        blocks = int(rng.integers(0, 3))
+        index = int(rng.integers(-2, 3)) if k % 4 == 0 else 0
+        runs.append(["op", "synth", "--seed", str(k), "--index", str(index),
+                     "--period", str(period), "--block", str(block),
+                     "--patch-blocks", str(blocks), "-o", f"u{k}.op"])
+    for k in range(OPERATORS):
+        u, after = f"u{k}.op", f"u{(k + 1) % OPERATORS}.op"
+        runs += [["op", "index", u], ["op", "check", u],
+                 ["op", "adjoint", u, "-o", f"adj{k}.op"],
+                 ["op", "apply", u, "--delta", "1"],
+                 ["op", "decompose", u, "-o", f"v{k}.op", f"w{k}.op"],
+                 ["op", "factor", u, "-o", f"fin{k}.op", f"per{k}.op"],
+                 ["op", "retract", u, "-o", f"ret{k}.op"],
+                 ["op", "mul", u, after, "-o", f"ab{k}.op"],
+                 ["op", "mul", after, u, "-o", f"ba{k}.op"]]
+    return runs
+
+
+def _tail(rng, zero_sum):
+    values = [int(v) for v in rng.integers(-3, 4, size=int(rng.integers(1, 4)))]
+    return values + [-sum(values)] if zero_sum else values
+
+
+def _sequence_files(rng):
+    """name -> text of each sequence; every other one has zero-sum tails."""
+    files = {}
+    for k in range(SEQUENCES):
+        core = [int(v) for v in rng.integers(-3, 4, size=int(rng.integers(0, 6)))]
+        left, right = _tail(rng, k % 2 == 0), _tail(rng, k % 2 == 0)
+        files[f"s{k}.seq"] = (
+            f"EPSEQ 1\nleft {' '.join(map(str, left))}\n"
+            f"core {' '.join(map(str, [int(rng.integers(-3, 4)), *core]))}\n"
+            f"right {' '.join(map(str, right))}\nEND\n")
+    return files
+
+
+def _sequence_runs(rng):
+    runs = []
+    for k in range(SEQUENCES):
+        s, after = f"s{k}.seq", f"s{(k + 1) % SEQUENCES}.seq"
+        runs += [["seq", "member", s, "-o", f"wit{k}.seq"],
+                 ["seq", "divide", s, str(int(rng.integers(1, 5))),
+                  "-o", f"q{k}.seq", f"c{k}.seq"],
+                 ["seq", "equal", s, after],
+                 ["seq", "blocksum", s, str(int(rng.integers(1, 4))), "-o", f"bs{k}.seq"],
+                 ["seq", "reduce3", s, "-o", f"r3{k}.seq"],
+                 ["seq", "alpha", s, "-o", f"al{k}.seq", f"be{k}.seq"],
+                 ["seq", "add", s, after, "-o", f"sum{k}.seq"]]
+    return runs
+
+
+def record(path):
+    from fpu.cli import run_command
+
+    rng = np.random.default_rng(7)
+    runs, files = _operator_runs(rng), _sequence_files(rng)
+    runs += _sequence_runs(rng)
+    records, home = [], os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)  # argv names files relative to the run directory
+        try:
+            for name, text in files.items():
+                with open(name, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            for argv in runs:
+                outputs = argv[argv.index("-o") + 1:] if "-o" in argv else []
+                result = run_command([*argv, "--porcelain"])
+                written = {}
+                for name in outputs:
+                    if os.path.exists(name):
+                        with open(name, encoding="utf-8") as handle:
+                            written[name] = handle.read()
+                records.append({"argv": argv, "exit": result.exit_code,
+                                "stdout": result.stdout, "stderr": result.stderr,
+                                "files": written})
+        finally:
+            os.chdir(home)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(records, handle, indent=1)
+    print(f"{len(records)} runs recorded in {path}")
+
+
+def _largest_difference(a, b):
+    """Largest |x - y| over numbers in the same place of a and b, or None if
+    the two differ in anything but numbers."""
+    ta, tb = a.split(), b.split()
+    if len(ta) != len(tb):
+        return None
+    largest = 0.0
+    for x, y in zip(ta, tb):
+        if x == y:
+            continue
+        try:
+            largest = max(largest, abs(float(x) - float(y)))
+        except ValueError:
+            return None
+    return largest
+
+
+def _text(run):
+    return "\n".join([run["stdout"], run["stderr"],
+                      *(f"{name}\n{text}" for name, text in sorted(run["files"].items()))])
+
+
+def compare(path_a, path_b):
+    with open(path_a, encoding="utf-8") as handle:
+        runs_a = json.load(handle)
+    with open(path_b, encoding="utf-8") as handle:
+        runs_b = json.load(handle)
+    if [r["argv"] for r in runs_a] != [r["argv"] for r in runs_b]:
+        sys.exit("the two records hold different runs")
+    # runs, identical, exit codes differing, differing in more than numbers, largest
+    stats = defaultdict(lambda: [0, 0, 0, 0, 0.0])
+    for a, b in zip(runs_a, runs_b):
+        entry = stats[" ".join(a["argv"][:2])]
+        entry[0] += 1
+        if a == b:
+            entry[1] += 1
+            continue
+        entry[2] += a["exit"] != b["exit"]
+        largest = _largest_difference(_text(a), _text(b))
+        if largest is None:
+            entry[3] += 1
+        else:
+            entry[4] = max(entry[4], largest)
+    print(f"{'command':<14} {'runs':>5} {'identical':>9} {'exit-differs':>12} "
+          f"{'form-differs':>12} {'largest':>9}")
+    for command, (total, same, exits, form, largest) in stats.items():
+        print(f"{command:<14} {total:>5} {same:>9} {exits:>12} {form:>12} {largest:>9.2g}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description="Seeded byte-identity corpus of fpu runs.")
+    parser.add_argument("out", nargs="?", help="record the corpus in this JSON file")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+    elif args.out:
+        record(args.out)
+    else:
+        parser.error("give OUT.json or --compare A.json B.json")
+
+
+if __name__ == "__main__":
+    main()

@@ -249,6 +249,15 @@ def test_declared_size_numpy_cannot_address_exits_two(tmp_path, sizes):
     assert result.stderr.startswith("error: input too large to evaluate in memory: ")
 
 
+def test_huge_window_over_zero_background_shrinks_to_its_given_cell(tmp_path):
+    path = tmp_path / "wide.op"
+    path.write_text("FPUOP 1\nperiod 1\nband 0\npatch-radius 100000000000000000000\n"
+                    "patch 3 -2 0.5 0\nEND\n")
+    result = run_command(["op", "adjoint", "--porcelain", str(path)])
+    assert result.exit_code == 0
+    assert "\npatch-radius 4\npatch -2 3 0.5 -0.0\n" in result.stdout
+
+
 def test_overflowing_apply_exits_two():
     # each amplitude is finite; their rotated sums overflow to inf
     result = run_command(["op", "apply", fixture("rot.op"),

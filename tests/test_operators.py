@@ -1,9 +1,11 @@
 """Operator algebra tests.  The oracle throughout is brute-force dense matrix
 arithmetic over an index window wide enough that truncation cannot leak in."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpu.cli import parse_operator_text, serialize_operator
@@ -196,6 +198,46 @@ def test_wide_window_over_zero_background_shrinks_without_a_dense_window():
     # only the given cell differs from a zero background: no (2R)^2 array
     op = EndPeriodicOperator(PeriodicBandOperator(1, 1, {}), 100000, {(5, -3): 0.5})
     assert op.patch_radius == 6 and op.patch == {(5, -3): 0.5}
+
+
+@pytest.mark.parametrize("centre", [["patch 0 0 -1 0"], []], ids=["given", "left-out"])
+def test_wide_window_over_nonzero_background_scatters_only_its_ring(centre):
+    # the identity given along the diagonal of a radius-1000 window except at
+    # (0, 0), which holds -1 or an explicit zero: the patch shrinks to radius 1,
+    # where the dense (2000, 2000) window alone would take 64 MB
+    lines = [f"patch {i} {i} 1 0" for i in range(-1000, 1000) if i]
+    text = "\n".join(["FPUOP 1", "period 1", "band 0", "patch-radius 1000",
+                      "bg 0 0 1 0", *lines, *centre, "END"])
+    tracemalloc.start()
+    try:
+        op = parse_operator_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.patch_radius == 1
+    assert op.patch == ({(-1, -1): 1.0, (0, 0): -1.0} if centre else {(-1, -1): 1.0})
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("left_out", [-2, 1])
+def test_left_out_cell_of_one_residue_sets_the_radius(left_out):
+    # the diagonal holds 1 on even rows and 2 on odd ones; the one diagonal
+    # cell left out of the window [-3, 3) is an explicit zero on ring 2
+    bg = PeriodicBandOperator(2, 0, {(0, 0): 1.0, (1, 0): 2.0})
+    op = EndPeriodicOperator(bg, 3, {(k, k): bg.entry(k, k) for k in range(-3, 3)
+                                     if k != left_out})
+    assert op.patch_radius == 2 and op.entry(left_out, left_out) == 0
+    assert op.entry(-1 - left_out, -1 - left_out) == bg.entry(-1 - left_out, -1 - left_out)
+
+
+def test_keys_at_the_edge_of_int64_shrink_or_run_out_of_memory():
+    zero = PeriodicBandOperator(1, 0, {})
+    # the huge key holds a zero, so the one given value sets the radius
+    op = EndPeriodicOperator(zero, 10 ** 20, {(10 ** 19, 0): 0.0, (3, -2): 0.5})
+    assert op.patch_radius == 4 and op.patch == {(3, -2): 0.5}
+    # the ring of row 2**63 - 1 is 2**63, one past the largest int64
+    with pytest.raises(MemoryError):
+        EndPeriodicOperator(zero, 2 ** 63, {(2 ** 63 - 1, 0): 1.0})
 
 
 def test_periodic_operator_is_its_own_background_with_empty_patch():
@@ -515,12 +557,37 @@ def test_serialize_parse_round_trip(op):
 
 
 @given(storage_operators(unsigned_zero_values))
+# some BLAS kernels sum the zero real part of this background product to -0.0
+@example(EndPeriodicOperator(PeriodicBandOperator(1, 1, {(0, 0): 1j, (0, 1): -1.0}), 2, {}))
 @settings(max_examples=80)
 def test_products_with_identity_serialize_as_mapping_built(op):
     # the product rebuilds the same entries through the array path
     text = serialize_operator(op)
     assert serialize_operator(multiply(op, identity())) == text
     assert serialize_operator(multiply(identity(), op)) == text
+
+
+@given(storage_operators(), storage_operators())
+@settings(max_examples=60)
+def test_one_product_path_matches_dense(a, b):
+    # periods 1-4 re-block to their lcm; a patch on neither, one or both
+    # sides, over backgrounds that may be zero
+    assert_product_matches_dense(a, b)
+    assert_product_matches_dense(b, a)
+
+
+@given(padded_patches(), st.data())
+@settings(max_examples=80)
+def test_left_out_cells_are_explicit_zeros(case, data):
+    bg, _, _, outer, padded = case
+    given_cells = {cell: v for cell, v in padded.items() if data.draw(st.booleans())}
+    op = EndPeriodicOperator(bg, outer, given_cells)
+    cells = [(i, j) for i in range(-outer, outer) for j in range(-outer, outer)]
+    for i, j in cells:
+        assert abs(op.entry(i, j) - given_cells.get((i, j), 0)) <= 1e-12
+    rings = [max(i + 1, -i, j + 1, -j) for i, j in cells
+             if abs(given_cells.get((i, j), 0) - bg.entry(i, j)) > 1e-12]
+    assert op.patch_radius == max(rings, default=0)
 
 
 @given(storage_operators())
