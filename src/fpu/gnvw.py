@@ -171,7 +171,7 @@ def _snap_block(m: np.ndarray) -> np.ndarray:
     return polar_unitary(m)
 
 
-def decompose(op: Operator, tol: float = 1e-9) -> DecompositionResult:
+def decompose(op: Operator, tol: float = CHECK_TOL) -> DecompositionResult:
     """Factor an index-zero banded unitary as V W with both factors block
     diagonal: W on the grid offset by -L, V on the grid at 0, blocks 2L x 2L.
 
@@ -192,7 +192,7 @@ def decompose(op: Operator, tol: float = 1e-9) -> DecompositionResult:
     w_bg = conjugating_unitary(_projection_window(bg, half), half).conj().T
     w_central = ({} if op is bg else
                  {0: conjugating_unitary(_projection_window(op, half), half).conj().T})
-    w_op = block_diagonal(-half, block, w_bg, central=w_central)
+    w_op = block_diagonal(-half, w_bg, central=w_central)
 
     v_raw = multiply(op, adjoint(w_op))
     leakage = _pattern_leakage(v_raw, block)
@@ -205,7 +205,7 @@ def decompose(op: Operator, tol: float = 1e-9) -> DecompositionResult:
     radius = v_raw.patch_radius
     v_central = {m: _snap_block(window(v_raw, idx[:, None] + m * block, idx + m * block))
                  for m in range((-radius) // block, -((-radius) // block))}
-    v_op = block_diagonal(0, block, v_bg, central=v_central)
+    v_op = block_diagonal(0, v_bg, central=v_central)
 
     residual = max_entry_difference(multiply(v_op, w_op), op)
     if residual > tol:
@@ -260,9 +260,7 @@ def synth_random(target_index: int, period: int = 1, block_size: int = 1,
     """
     if seed is None:
         raise ValidationError("a seed is required")
-    period = int(period)
-    block_size = int(block_size)
-    patch_blocks = int(patch_blocks)
+    period, block_size, patch_blocks = int(period), int(block_size), int(patch_blocks)
     if period < 1 or block_size < 1 or patch_blocks < 0:
         raise ValidationError("period and block size must be >= 1, patches >= 0")
 

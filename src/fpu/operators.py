@@ -33,10 +33,9 @@ ZERO_TOL = 1e-12
 CHECK_TOL = 1e-9
 
 
-def _validated(values: np.ndarray, rules=(), computed: bool = False) -> np.ndarray:
+def _validated(values: np.ndarray, rules=()) -> np.ndarray:
     """Mask of the values above ZERO_TOL.  Raises ValidationError at the first
-    cell failing a rule, a (bad mask, message of a position) pair, or not
-    finite, then a NumericalError instead if the library computed the value."""
+    cell failing a rule, a (bad mask, message of a position) pair, or not finite."""
     failed = ~np.isfinite(values)
     for bad, _ in rules:
         failed |= bad
@@ -45,10 +44,16 @@ def _validated(values: np.ndarray, rules=(), computed: bool = False) -> np.ndarr
         for bad, message in rules:
             if bad[k]:
                 raise ValidationError(message(k))
-        v = complex(values.flat[k])
-        raise (NumericalError(f"computed value {v} is not finite") if computed
-               else ValidationError(f"entry value {v} is not finite"))
+        raise ValidationError(f"entry value {complex(values.flat[k])} is not finite")
     return np.abs(values) > ZERO_TOL
+
+
+def _computed(values: np.ndarray) -> np.ndarray:
+    """values, once all are finite; one that is not is an overflow, a NumericalError."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise NumericalError(f"computed value {complex(values[bad][0])} is not finite")
+    return values
 
 
 def _mapping_cells(mapping: Mapping[Tuple[int, int], complex]):
@@ -109,7 +114,7 @@ class Operator:
         # U*[i, i + d] = conj(U[i + d, i]) over the background's period
         bg = self.background
         i, d = np.arange(bg.period)[:, None], np.arange(-bg.reach, bg.reach + 1)
-        star = _periodic(bg.period, bg.band, window(bg, i + d, i).conj())
+        star = _periodic(bg.band, window(bg, i + d, i).conj())
         return star if self is bg else _patched(star, self.dense_patch.conj().T)
 
     def __eq__(self, other) -> bool:
@@ -155,7 +160,7 @@ class PeriodicBandOperator(Operator):
         h = int(np.abs(d).max(initial=0))
         table = _zeros(period, 2 * h + 1)
         table[i, d + h] = values
-        return _periodic(period, band, table)
+        return _periodic(band, table)
 
     @property
     def reach(self) -> int:
@@ -257,26 +262,24 @@ def _explicit_zero_ring(background: PeriodicBandOperator, radius: int,
     return ring
 
 
-def _periodic(period: int, band: int, table: np.ndarray,
-              computed: bool = False) -> PeriodicBandOperator:
+def _periodic(band: int, table: np.ndarray) -> PeriodicBandOperator:
     """The periodic operator with U[i, i + d] = table[i, h + d], table of shape
     (period, 2h + 1) with h <= band, once it passes _validated."""
-    keep = _validated(table, computed=computed)
+    keep = _validated(table)
     h, used = table.shape[1] // 2, np.flatnonzero(keep.any(axis=0))
     reach = int(max(h - used[0], used[-1] - h)) if len(used) else 0
-    diagonals = np.zeros((period, 2 * reach + 3), dtype=complex)
+    diagonals = np.zeros((len(table), 2 * reach + 3), dtype=complex)
     diagonals[:, 1:-1] = np.where(keep, table, 0)[:, h - reach:h + reach + 1]
-    return _new(PeriodicBandOperator, period, band, diagonals)
+    return _new(PeriodicBandOperator, len(table), band, diagonals)
 
 
-def _end_periodic(background: PeriodicBandOperator, dense: np.ndarray,
-                  computed: bool = False) -> EndPeriodicOperator:
+def _end_periodic(background: PeriodicBandOperator, dense: np.ndarray) -> EndPeriodicOperator:
     """background overridden by dense[i + R, j + R] on [-R, R)^2, once that
     passes _validated, on the smallest window outside which the two agree: the
     largest ring max(i + 1, -i, j + 1, -j) of a cell where they differ by more
     than ZERO_TOL."""
     r = dense.shape[0] // 2
-    cells, dense = np.arange(-r, r), np.where(_validated(dense, (), computed), dense, 0)
+    cells, dense = np.arange(-r, r), np.where(_validated(dense), dense, 0)
     differs = np.abs(dense - window(background, cells[:, None], cells)) > ZERO_TOL
     ring = np.maximum(cells + 1, -cells)
     radius = int(max(ring[differs.any(axis=1)].max(initial=0),
@@ -285,10 +288,9 @@ def _end_periodic(background: PeriodicBandOperator, dense: np.ndarray,
                 dense[r - radius:r + radius, r - radius:r + radius].copy())
 
 
-def _patched(background: PeriodicBandOperator, dense: np.ndarray,
-             computed: bool = False) -> Operator:
+def _patched(background: PeriodicBandOperator, dense: np.ndarray) -> Operator:
     """_end_periodic, or just the background if the patch shrinks away."""
-    op = _end_periodic(background, dense, computed)
+    op = _end_periodic(background, dense)
     return op if op.patch_radius else background
 
 
@@ -340,23 +342,22 @@ def delta_embed(block: np.ndarray, k: int = 0) -> PeriodicBandOperator:
     size, (r, c) = len(m), np.indices(m.shape)
     table = np.zeros((size, 2 * size - 1), dtype=complex)
     table[(k + r) % size, size - 1 + c - r] = m
-    return _periodic(size, size - 1, table)
+    return _periodic(size - 1, table)
 
 
-def block_diagonal(k: int, block_size: int, repeating: np.ndarray,
+def block_diagonal(k: int, repeating: np.ndarray,
                    central: Optional[Mapping[int, np.ndarray]] = None) -> Operator:
-    """Block-diagonal operator on the grid [k + n*L, k + (n+1)*L)^2.
+    """Block-diagonal operator on the grid [k + n*L, k + (n+1)*L)^2, with L
+    the size of the square block `repeating`.
 
     With only `repeating` the block tiles the whole diagonal (periodic).
     `central` maps block indices n to blocks that replace the repeating one
     there, giving an end-periodic operator.
     """
-    size = int(block_size)
-    if size < 1:
-        raise ValidationError("block size must be >= 1")
     bg = delta_embed(repeating, k)
     if not central:
         return bg
+    size = bg.period
     radius = max(1, *(max(-k - n * size, k + (n + 1) * size) for n in map(int, central)))
     cells = np.arange(-radius, radius)
     dense = window(bg, cells[:, None], cells)
@@ -384,33 +385,34 @@ def adjoint(op: Operator) -> Operator:
     return op.adjoint()
 
 
+def _rows_product(a: Operator, b: Operator, rows, cols) -> np.ndarray:
+    """Dense (ab)[rows, cols] for a run of rows covering a's patch window, summed
+    over the rows extended by reach(A0): a row of a is nonzero nowhere else."""
+    mid = np.arange(rows[0] - a.background.reach, rows[-1] + a.background.reach + 1)
+    product = window(a, rows[:, None], mid) @ window(b, mid[:, None], cols)
+    product += 0.0  # some BLAS kernels leave a zero sum as -0.0
+    return _computed(product)
+
+
 def multiply(a: Operator, b: Operator) -> Operator:
     """Exact banded product; propagation is subadditive by construction.
 
-    One dense window product over rows [-R, R + n) holds both parts: rows
-    [-R, R) the envelope outside which AB equals the product of the
-    backgrounds, rows [R, R + n) one period n of that background product.
-    The constructor's shrink pass trims the envelope to the rows that actually
-    deviate from the background product.
+    Rows [0, n) of A0 B0, n the lcm of the periods, give its table of
+    diagonals and [-R, R)^2 of AB its patch: in AB - A0 B0 = (A - A0) B +
+    A0 (B - B0) the first term lies within reach(B0) of [-Ra, Ra)^2 and is 0
+    if Ra = 0, the second within reach(A0) of [-Rb, Rb)^2.  The constructor's
+    shrink pass trims the patch to the cells that deviate from A0 B0.
     """
-    # AB - A0 B0 = (A - A0) B + A0 (B - B0): the first term lies within p(b) of
-    # [-Ra, Ra)^2 and is 0 if Ra = 0, the second within p(A0) <= p(a) of [-Rb, Rb)^2
-    ra, rb, pa = a.patch_radius, b.patch_radius, propagation(a)
-    radius = max(ra + propagation(b) if ra else 0, rb + pa if rb else 0)
-    a0, b0 = a.background, b.background
+    a0, b0, ra, rb = a.background, b.background, a.patch_radius, b.patch_radius
+    radius = max(ra + b0.reach if ra else 0, rb + a0.reach if rb else 0)
     n, reach = lcm(a0.period, b0.period), a0.reach + b0.reach
-    mid = np.arange(-radius - pa, radius + n + pa)  # every index a row of a reaches
-    product = (window(a, np.arange(-radius, radius + n)[:, None], mid)
-               @ window(b, mid[:, None], np.arange(-radius - reach, radius + n + reach)))
-    product += 0.0  # some BLAS kernels leave a zero sum as -0.0
-    # row i of the table is the row of [R, R + n) equal to i mod n, at index k;
-    # it holds columns i - reach .. i + reach from index k on
-    k = (2 * radius + (np.arange(n) - radius) % n)[:, None]
-    bg = _periodic(n, a0.band + b0.band, product[k, k + np.arange(2 * reach + 1)],
-                   computed=True)
+    rows = np.arange(n)[:, None]
+    table = _rows_product(a0, b0, rows[:, 0], np.arange(-reach, n + reach))
+    bg = _periodic(a0.band + b0.band, table[rows, rows + np.arange(2 * reach + 1)])
     if not radius:
         return bg
-    return _patched(bg, product[:2 * radius, reach:reach + 2 * radius], computed=True)
+    cells = np.arange(-radius, radius)
+    return _patched(bg, _rows_product(a, b, cells, cells))
 
 
 def propagation(op: Operator) -> int:
@@ -514,5 +516,5 @@ def apply_state(op: Operator, psi: StateVector) -> StateVector:
         for i, w in zip(rows, window(op, np.asarray(rows), j).tolist()):
             if w != 0:
                 out[i] = out.get(i, 0j) + w * v
-    _validated(np.array(list(out.values()), dtype=complex), computed=True)
+    _computed(np.array(list(out.values()), dtype=complex))
     return StateVector(out)

@@ -13,7 +13,8 @@ Each run is recorded with its exit code, stdout, stderr and the files it
 wrote.  The comparison prints, per command, how many runs are byte-identical,
 how many exit codes differ, how many outputs differ in more than numbers (a
 `decompose` may pick another basis) and the largest difference between
-numbers that stand in the same place.  `decompose` exits 0 only when its own
+numbers that stand in the same place; it exits 1 when any run's exit code
+differs between the two records.  `decompose` exits 0 only when its own
 leakage, reconstruction and block checks pass.  Not collected by pytest.
 """
 
@@ -164,6 +165,7 @@ def compare(path_a, path_b):
           f"{'form-differs':>12} {'largest':>9}")
     for command, (total, same, exits, form, largest) in stats.items():
         print(f"{command:<14} {total:>5} {same:>9} {exits:>12} {form:>12} {largest:>9.2g}")
+    return any(entry[2] for entry in stats.values())
 
 
 def main():
@@ -172,7 +174,7 @@ def main():
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
     args = parser.parse_args()
     if args.compare:
-        compare(*args.compare)
+        sys.exit(1 if compare(*args.compare) else 0)
     elif args.out:
         record(args.out)
     else:

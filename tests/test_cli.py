@@ -6,6 +6,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -126,6 +127,41 @@ def test_zero_operator_parses_then_fails_check():
     result = run_command(["op", "check", fixture("zero.op")])
     assert result.exit_code == 2
     assert "unitary false" in result.stdout
+
+
+@pytest.mark.parametrize("command, bound", [("decompose", "1.000e-06"),
+                                            ("factor", "1.000e-09")])
+def test_zero_operator_is_refused_before_factoring(command, bound):
+    result = run_command(["op", command, fixture("zero.op")])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"error: operator is not unitary: residual 1.000e+00 > {bound}\n"
+
+
+PARSER_MESSAGES = [
+    ("op", "period x\nband 0\nEND", "line 2: expected integer, got 'x'"),
+    ("op", "period 1\nband 0\nbg 0 0 a 0\nEND", "line 4: expected number, got 'a'"),
+    ("op", "period 1\nband 0\nEND\nband 0", "line 5: content after END"),
+    ("op", "period 1\nband 0", "missing END line"),
+    ("op", "foo 1\nEND", "line 2: unknown directive 'foo'"),
+    ("seq", "mid 1\nEND", "line 2: unknown directive 'mid'"),
+    ("op", "period 1\nEND", "operator file needs period and band lines"),
+    ("op", "period 1\nperiod 1\nband 0\nEND", "line 3: duplicate period line"),
+    ("op", "period 1\nband 0\nbg 0 0 1\nEND", "line 4: bg needs i d re im"),
+    ("seq", "left 1\nleft 1\ncore 0\nright 1\nEND", "line 3: duplicate left line"),
+    ("seq", "left 1\ncore\nright 1\nEND", "line 3: core needs an offset"),
+    ("seq", "left 1\nright 1\nEND", "sequence file needs left, core and right lines"),
+]
+
+
+@pytest.mark.parametrize("kind, body, message", PARSER_MESSAGES,
+                         ids=[message for _, _, message in PARSER_MESSAGES])
+def test_malformed_file_exits_one_with_its_message(tmp_path, kind, body, message):
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(("FPUOP 1\n" if kind == "op" else "EPSEQ 1\n") + body + "\n")
+    result = run_command(["op", "check", str(path)] if kind == "op"
+                         else ["seq", "reduce3", str(path)])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == f"error: {message}\n"
 
 
 # -- exit-code contract ------------------------------------------------------------
@@ -256,6 +292,29 @@ def test_huge_window_over_zero_background_shrinks_to_its_given_cell(tmp_path):
     result = run_command(["op", "adjoint", "--porcelain", str(path)])
     assert result.exit_code == 0
     assert "\npatch-radius 4\npatch -2 3 0.5 -0.0\n" in result.stdout
+
+
+def test_far_corner_patch_checks_within_its_own_window(tmp_path):
+    # the identity's ones at (-100, -100) and (99, 99) move to the far corners
+    # (-100, 99) and (99, -100) of a radius-100 window: propagation 199, yet
+    # outside its patch the operator moves an index by its background's reach
+    # 0, so every product's patch stays at radius 100, where one sized by the
+    # propagation would take about 25 MB
+    diagonal = [f"patch {i} {i} 1 0" for i in range(-99, 99)]
+    path = tmp_path / "corner.op"
+    path.write_text("\n".join(["FPUOP 1", "period 1", "band 0", "patch-radius 100",
+                               "bg 0 0 1 0", *diagonal, "patch -100 99 1 0",
+                               "patch 99 -100 1 0", "END", ""]))
+    tracemalloc.start()
+    try:
+        result = run_command(["op", "check", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0
+    assert result.stdout == ("unitary true\nresidual 0.0\npropagation 199\nperiod 1\n"
+                             "patch-radius 100\n")
+    assert peak < 8 * 2 ** 20
 
 
 def test_overflowing_apply_exits_two():

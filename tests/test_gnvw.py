@@ -5,15 +5,16 @@ factors is asserted structurally, never through specific matrix entries."""
 import numpy as np
 import pytest
 
+from fpu import gnvw
 from fpu.errors import NumericalError, ValidationError
-from fpu.gnvw import (_pattern_leakage, conjugating_unitary, decompose,
+from fpu.gnvw import (SNAP_TOL, _pattern_leakage, conjugating_unitary, decompose,
                       factor_end_periodic, index, retract_periodic, synth_random)
-from fpu.matutil import haar_unitary
+from fpu.matutil import haar_unitary, polar_unitary, unitary_defect
 from fpu.operators import (EndPeriodicOperator, PeriodicBandOperator,
                            adjoint, block_diagonal, delta_embed, embed_finite,
                            identity, make_periodic, make_shift,
                            max_entry_difference, multiply, operators_close,
-                           propagation, unitarity_residual)
+                           propagation, unitarity_residual, window)
 
 from conftest import dense_window
 from test_operators import random_storage_operator
@@ -181,6 +182,28 @@ def test_decompose_rejects_nonzero_index_end_periodic(rng):
     op = synth_random(2, 2, 2, 1, seed=11)
     with pytest.raises(NumericalError, match="nonzero index"):
         decompose(op)
+
+
+def test_nearly_unitary_block_is_snapped_or_rejected_by_tol(monkeypatch):
+    # one patch entry off by a relative 1e-8: a block of V has a defect near
+    # 4e-9, above SNAP_TOL, so decompose projects it onto the unitary group,
+    # which moves V W off the input by about 3e-9
+    u = synth_random(0, 2, 2, 1, seed=3)
+    patch = dict(u.patch)
+    patch[min(patch)] *= 1 + 1e-8
+    bad = EndPeriodicOperator(u.background, u.patch_radius, patch)
+    snapped = []
+    monkeypatch.setattr(gnvw, "polar_unitary",
+                        lambda m: snapped.append(m) or polar_unitary(m))
+    result = decompose(bad, 1e-6)
+    assert snapped
+    block, radius = result.block_size, result.v.patch_radius
+    idx = np.arange(block)
+    for m in range(-radius // block - 1, radius // block + 2):
+        assert unitary_defect(window(result.v, idx[:, None] + m * block,
+                                     idx + m * block)) <= SNAP_TOL
+    with pytest.raises(NumericalError, match="^reconstruction residual .* exceeds tolerance"):
+        decompose(bad)
 
 
 def test_decompose_diagonal_patch_wider_than_propagation():

@@ -100,17 +100,17 @@ def test_entry_periodicity_random_spots(rng):
 # -- block placement -----------------------------------------------------------
 
 def test_block_diagonal_identity_block_is_identity():
-    assert block_diagonal(0, 2, np.eye(2)) == identity()
+    assert block_diagonal(0, np.eye(2)) == identity()
 
 
 def test_block_diagonal_swap_matches_periodic():
-    assert block_diagonal(0, 2, SWAP) == make_periodic(
+    assert block_diagonal(0, SWAP) == make_periodic(
         2, 1, [(0, 1, 1.0), (1, -1, 1.0)])
 
 
 def test_block_diagonal_alignment_matters():
-    at_zero = block_diagonal(0, 2, SWAP)
-    at_minus_one = block_diagonal(-1, 2, SWAP)
+    at_zero = block_diagonal(0, SWAP)
+    at_minus_one = block_diagonal(-1, SWAP)
     assert at_zero != at_minus_one
     assert at_minus_one.entry(-1, 0) == 1.0
     assert at_zero.entry(-1, 0) == 0.0
@@ -125,7 +125,7 @@ def test_delta_embed_conjugation_realigns(rng):
 
 
 def test_block_diagonal_central_blocks():
-    op = block_diagonal(0, 2, np.eye(2), central={0: SWAP})
+    op = block_diagonal(0, np.eye(2), central={0: SWAP})
     assert isinstance(op, EndPeriodicOperator)
     assert op.entry(0, 1) == 1.0 and op.entry(4, 5) == 0.0
     assert unitarity_residual(op) <= 1e-12
@@ -152,7 +152,7 @@ def test_block_constructors_reject_bad_shapes():
     with pytest.raises(ValidationError):
         delta_embed(np.ones((2, 3)))
     with pytest.raises(ValidationError):
-        block_diagonal(0, 2, np.eye(2), central={0: np.eye(3)})
+        block_diagonal(0, np.eye(2), central={0: np.eye(3)})
 
 
 # -- patch semantics -------------------------------------------------------------
@@ -340,15 +340,22 @@ def test_multiply_end_periodic_matches_dense(rng):
 # two entries in a radius-8 window over a nonzero background: propagation 2,
 # far below the window's 2R - 1, so the product's envelope is at its tightest
 SPARSE_PATCH = EndPeriodicOperator(delta_embed(ROT, 1), 8, {(-8, -6): 0.5, (5, 6): -0.25j})
+# two far-corner cells of a radius-8 window over a tridiagonal background: the
+# patch reaches 15 off the diagonal, yet moves the product's patch only as far
+# as the other operand's background reach
+FAR_CORNER = EndPeriodicOperator(
+    PeriodicBandOperator(1, 1, {(0, -1): 0.6, (0, 0): 0.1, (0, 1): 0.8j}),
+    8, {(-8, 7): 0.5, (7, -8): -0.25j})
 
 
-@pytest.mark.parametrize("pair", ["storage", "sparse-patch"])
+@pytest.mark.parametrize("pair", ["storage", "sparse-patch", "far-corner"])
 def test_multiply_matches_dense_oracle_beyond_haar_patches(rng, pair):
     for _ in range(12):
         if pair == "storage":
             a, b = (random_storage_operator(rng, rng.integers(0, 2) == 0) for _ in "ab")
         else:
-            a, b = SPARSE_PATCH, random_operator(rng, end_periodic=rng.integers(0, 2) == 0)
+            a = SPARSE_PATCH if pair == "sparse-patch" else FAR_CORNER
+            b = random_operator(rng, end_periodic=rng.integers(0, 2) == 0)
         assert_product_matches_dense(a, b)
         assert_product_matches_dense(b, a)
 
