@@ -5,12 +5,11 @@ from .errors import NumericalError, ValidationError
 from .gnvw import (DecompositionResult, EndPeriodicSplit, IndexReport,
                    conjugating_unitary, decompose, factor_end_periodic, index,
                    retract_periodic, synth_random)
-from .operators import (CornerData, EndPeriodicOperator, PeriodicBandOperator,
-                        StateVector, adjoint, apply_state, block_diagonal,
-                        corner_data, delta_embed, embed_finite, identity,
-                        make_periodic, make_shift, max_entry_difference,
-                        multiply, operators_close, propagation,
-                        unitarity_residual)
+from .operators import (EndPeriodicOperator, PeriodicBandOperator, StateVector,
+                        adjoint, apply_state, block_diagonal, delta_embed,
+                        embed_finite, identity, make_periodic, make_shift,
+                        max_entry_difference, multiply, operators_close,
+                        propagation, unitarity_residual)
 from .sequences import (DivisionWitness, EventuallyPeriodicSeq,
                         MembershipResult, alpha_map, alternating,
                         beta_interleave, coinv_equal, constant, delta,
@@ -21,8 +20,8 @@ __all__ = [
     "DecompositionResult", "EndPeriodicSplit", "IndexReport",
     "conjugating_unitary", "decompose", "factor_end_periodic", "index",
     "retract_periodic", "synth_random",
-    "CornerData", "EndPeriodicOperator", "PeriodicBandOperator", "StateVector",
-    "adjoint", "apply_state", "block_diagonal", "corner_data", "delta_embed",
+    "EndPeriodicOperator", "PeriodicBandOperator", "StateVector",
+    "adjoint", "apply_state", "block_diagonal", "delta_embed",
     "embed_finite", "identity", "make_periodic", "make_shift",
     "max_entry_difference", "multiply", "operators_close", "propagation",
     "unitarity_residual",

@@ -164,10 +164,7 @@ def parse_operator_text(text: str) -> Operator:
     if "period" not in sizes or "band" not in sizes:
         raise ValidationError("operator file needs period and band lines")
     background = PeriodicBandOperator(sizes["period"], sizes["band"], cells["bg"])
-    radius = sizes.get("patch-radius", 0)
-    if radius == 0 and not cells["patch"]:
-        return background
-    return EndPeriodicOperator(background, radius, cells["patch"])
+    return EndPeriodicOperator(background, sizes.get("patch-radius", 0), cells["patch"])
 
 
 # -- command plumbing -----------------------------------------------------------

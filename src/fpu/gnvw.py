@@ -25,9 +25,9 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .matutil import haar_unitary, polar_unitary, unitary_defect
 from .operators import (CHECK_TOL, Operator, PeriodicBandOperator, _patched, adjoint,
-                        block_diagonal, corner_data, delta_embed, embed_finite, identity,
-                        make_shift, max_entry_difference, multiply, propagation,
-                        require_unitary, unitarity_residual, window)
+                        block_diagonal, delta_embed, embed_finite, identity, make_shift,
+                        max_entry_difference, multiply, propagation, require_unitary,
+                        window)
 
 # default acceptance tolerance on the index integer deviation
 INDEX_TOL = 1e-6
@@ -75,9 +75,12 @@ class EndPeriodicSplit:
 def index(op: Operator, tol: float = INDEX_TOL) -> IndexReport:
     """Index from the corner sums; raises NumericalError unless the raw value
     lies within tol of an integer and of the trace of P - U* P U."""
-    cd = corner_data(op)
-    hs_mp = float(np.sum(np.abs(cd.minus_plus) ** 2))
-    hs_pm = float(np.sum(np.abs(cd.plus_minus) ** 2))
+    # nonzero entries have |i - j| <= k: U(-,+) lies in rows [-k, 0) x columns
+    # [0, k), and U(+,-) in the corner u[:k, :k] of the trace window u
+    k = max(op.prop_bound(), 1)
+    u = window(op, np.arange(2 * k)[:, None], np.arange(-k, k))
+    minus_plus = window(op, np.arange(-k, 0)[:, None], np.arange(k))
+    hs_mp, hs_pm = (float(np.sum(np.abs(c) ** 2)) for c in (minus_plus, u[:k, :k]))
     raw = hs_mp - hs_pm
     if not np.isfinite(raw):  # squares of finite entries can overflow
         raise NumericalError(f"index {raw!r} is not finite; "
@@ -85,10 +88,8 @@ def index(op: Operator, tol: float = INDEX_TOL) -> IndexReport:
     rounded = int(round(raw))
     deviation = abs(raw - rounded)
 
-    k = max(op.prop_bound(), 1)
     # trace of P - U* P U summed in sequence, down rows 0 .. j + k of each
     # column j, then across columns; hypot and float_power round like abs and **
-    u = window(op, np.arange(2 * k)[:, None], np.arange(-k, k))
     columns = np.diagonal(np.cumsum(np.float_power(np.hypot(u.real, u.imag), 2), axis=0))
     trace = float(np.cumsum((np.arange(-k, k) >= 0) - columns)[-1])
 
@@ -149,10 +150,9 @@ def _pattern_leakage(op: Operator, block: int) -> float:
     """Largest entry magnitude outside the block-diagonal pattern aligned at 0.
 
     Rows [-R, R) hold the patch and rows [R, R + block) are background rows
-    covering every residue mod block, so together they witness every entry.
+    covering every residue mod block, a multiple of the period by
+    _block_scale, so together they witness every entry.
     """
-    if block % op.period:
-        raise ValidationError("block size must be a multiple of the period")
     radius = op.patch_radius
     rows = np.arange(-radius, radius + block)[:, None]
     cols = rows + np.arange(-op.prop_bound(), op.prop_bound() + 1)
@@ -223,22 +223,21 @@ def decompose(op: Operator, tol: float = CHECK_TOL) -> DecompositionResult:
 
 
 def retract_periodic(op: Operator, tol: float = CHECK_TOL) -> PeriodicBandOperator:
-    """The unique periodic operator agreeing with op outside its patch window."""
-    res = unitarity_residual(op.background)
-    if res > tol:
-        raise ValidationError(
-            f"periodic background is not unitary (residual {res:.3e}); "
-            "the patch is load-bearing beyond its window")
+    """op's background, the unique periodic operator agreeing with op outside
+    its patch window; raises NumericalError unless it is unitary within tol."""
+    require_unitary(op.background, tol)
     return op.background
 
 
 def factor_end_periodic(op: Operator, tol: float = CHECK_TOL) -> EndPeriodicSplit:
     """Split op = finite_part * periodic_part, the finite part a patch over
-    the identity and the periodic part the background retraction."""
-    require_unitary(op, max(tol, CHECK_TOL))
-    periodic_part = retract_periodic(op, tol)
-    # retract_periodic has bounded |B B* - I|, so raw's background is the
-    # identity within tol
+    the identity and the periodic part op's background B.  Raises
+    NumericalError unless op is unitary within tol, or when the split's
+    reconstruction residual exceeds tol."""
+    require_unitary(op, tol)
+    periodic_part = op.background
+    # op's residual reads op op* = B B* and op* op = B* B over a full period
+    # outside their patches, so raw's background is the identity within tol
     raw = multiply(op, adjoint(periodic_part))
     finite_part = _patched(identity(), raw.dense_patch)
 

@@ -19,7 +19,6 @@ in read-only arrays built once; entries and patch are views derived from them.
 from __future__ import annotations
 
 import types
-from dataclasses import dataclass
 from math import lcm
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -108,6 +107,9 @@ class Operator:
 
     def prop_bound(self) -> int:
         """Bound on |i-j| of nonzero entries, wide enough to span the patch window."""
+        # not the exact propagation: ones at (-1, -1) and (0, 0) over zeros on
+        # [-8, 8)^2 have propagation 0, and a trace window that narrow passes
+        # that non-unitary patch as index 0
         return max(self.background.reach, 2 * self.patch_radius - 1)
 
     def adjoint(self) -> "Operator":
@@ -190,7 +192,8 @@ class EndPeriodicOperator(Operator):
     Inside the window the entry is patch[(i, j)] with absent keys meaning an
     explicit zero; outside it the entry is the background's.  Construction
     shrinks the window while its outer ring agrees with the background within
-    ZERO_TOL, so padding a patch with background values canonicalizes away.
+    ZERO_TOL, so padding a patch with background values canonicalizes away;
+    a patch that shrinks away entirely gives the background itself.
     The (2R, 2R) array dense_patch holds patch[(i, j)] at [i + R, j + R].
     """
 
@@ -218,7 +221,7 @@ class EndPeriodicOperator(Operator):
         dense, inner = _zeros(2 * radius, 2 * radius), ring < radius
         dense[(i[inner] + radius).astype(np.int64),
               (j[inner] + radius).astype(np.int64)] = values[inner]
-        return _end_periodic(background, dense)
+        return _patched(background, dense)
 
     @property
     def period(self) -> int:
@@ -273,25 +276,21 @@ def _periodic(band: int, table: np.ndarray) -> PeriodicBandOperator:
     return _new(PeriodicBandOperator, len(table), band, diagonals)
 
 
-def _end_periodic(background: PeriodicBandOperator, dense: np.ndarray) -> EndPeriodicOperator:
+def _patched(background: PeriodicBandOperator, dense: np.ndarray) -> Operator:
     """background overridden by dense[i + R, j + R] on [-R, R)^2, once that
     passes _validated, on the smallest window outside which the two agree: the
     largest ring max(i + 1, -i, j + 1, -j) of a cell where they differ by more
-    than ZERO_TOL."""
+    than ZERO_TOL.  That is the background itself when no cell differs."""
     r = dense.shape[0] // 2
     cells, dense = np.arange(-r, r), np.where(_validated(dense), dense, 0)
     differs = np.abs(dense - window(background, cells[:, None], cells)) > ZERO_TOL
     ring = np.maximum(cells + 1, -cells)
     radius = int(max(ring[differs.any(axis=1)].max(initial=0),
                      ring[differs.any(axis=0)].max(initial=0)))
+    if not radius:
+        return background
     return _new(EndPeriodicOperator, background, radius,
                 dense[r - radius:r + radius, r - radius:r + radius].copy())
-
-
-def _patched(background: PeriodicBandOperator, dense: np.ndarray) -> Operator:
-    """_end_periodic, or just the background if the patch shrinks away."""
-    op = _end_periodic(background, dense)
-    return op if op.patch_radius else background
 
 
 def window(op: Operator, rows, cols) -> np.ndarray:
@@ -452,26 +451,6 @@ def require_unitary(op: Operator, tol: float = CHECK_TOL) -> float:
     if res > tol:
         raise NumericalError(f"operator is not unitary: residual {res:.3e} > {tol:.3e}")
     return res
-
-
-@dataclass(frozen=True)
-class CornerData:
-    """Finitely supported parts of the two off-corner blocks.
-
-    minus_plus[r, c] = U[-size + r, c] covers rows i < 0, columns j >= 0;
-    plus_minus[r, c] = U[r, -size + c] covers rows i >= 0, columns j < 0.
-    Everything outside vanishes by the band bound.
-    """
-    minus_plus: np.ndarray
-    plus_minus: np.ndarray
-    size: int
-
-
-def corner_data(op: Operator) -> CornerData:
-    k = op.prop_bound()
-    minus, plus = np.arange(-k, 0), np.arange(k)
-    return CornerData(minus_plus=window(op, minus[:, None], plus),
-                      plus_minus=window(op, plus[:, None], minus), size=k)
 
 
 # -- states --------------------------------------------------------------------

@@ -11,11 +11,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fpu
 
-from fpu.cli import (_PARSER, parse_operator_text, parse_seq_text, run_command,
-                     serialize_operator, serialize_seq)
+from fpu.cli import (_PARSER, CommandResult, parse_operator_text, parse_seq_text,
+                     run_command, serialize_operator, serialize_seq)
 from fpu.errors import ValidationError
 from fpu.operators import EndPeriodicOperator, PeriodicBandOperator
 
@@ -64,6 +66,16 @@ def test_parse_end_periodic_structure():
     op = parse_operator_text(fixture_text("endswap.op"))
     assert isinstance(op, EndPeriodicOperator)
     assert op.patch_radius == 1
+
+
+def test_background_equal_patch_lines_parse_to_the_background():
+    # a periodic operator has one form: patch lines that repeat the shift's
+    # own entries leave no patch, and no EndPeriodicOperator around it
+    op = parse_operator_text("FPUOP 1\nperiod 1\nband 1\npatch-radius 2\n"
+                             "bg 0 1 1.0 0.0\npatch -2 -1 1.0 0.0\n"
+                             "patch -1 0 1.0 0.0\npatch 0 1 1.0 0.0\nEND\n")
+    assert type(op) is PeriodicBandOperator
+    assert serialize_operator(op) == fixture_text("shift1.op")
 
 
 def fixture_text(name: str) -> str:
@@ -135,6 +147,20 @@ def test_zero_operator_is_refused_before_factoring(command, bound):
     result = run_command(["op", command, fixture("zero.op")])
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == f"error: operator is not unitary: residual 1.000e+00 > {bound}\n"
+
+
+@pytest.mark.parametrize("command", ["factor", "retract"])
+def test_tol_zero_refuses_a_rounding_residual_as_non_unitary(tmp_path, command):
+    # the Haar background of this operator misses unitarity by about 2e-16;
+    # at --tol 0 that is a unitarity failure like any other, exit 2
+    path = str(tmp_path / "u.op")
+    synth = run_command(["op", "synth", "--seed", "3", "--index", "0", "--period", "2",
+                         "--block", "2", "--patch-blocks", "1", "-o", path])
+    assert synth.exit_code == 0
+    result = run_command(["op", command, path, "--tol", "0"])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: operator is not unitary: residual ")
+    assert result.stderr.endswith(" > 0.000e+00\n")
 
 
 PARSER_MESSAGES = [
@@ -283,6 +309,54 @@ def test_declared_size_numpy_cannot_address_exits_two(tmp_path, sizes):
     result = run_command(["op", "check", str(path)])
     assert result.exit_code == 2
     assert result.stderr.startswith("error: input too large to evaluate in memory: ")
+
+
+# Adversarial operator files: the lines of a valid file, some of them changed
+# and some added, with NaN or inf values, duplicate or unknown directives,
+# out-of-range indices, negative or huge sizes, and END sometimes left out.
+# A huge size is at least 10**13: any array it sizes needs more than the
+# 128 TiB a 64-bit process can address, so its allocation fails at once;
+# sizes up to 64 keep every array small.
+SIZES = st.integers(1, 4) | st.integers(-64, 64) | st.integers(10 ** 13, 10 ** 40)
+INDICES = (st.integers(-3, 3) | st.integers(-70, 70)
+           | st.integers(10 ** 13, 10 ** 40).map(lambda n: n * (-1) ** n))
+NUMBERS = (st.sampled_from(["1.0", "0.6", "-0.8", "0", "nan", "inf", "-inf", "1e300"])
+           | st.floats().map(repr))
+SIZE_LINES = st.builds("{} {}".format, st.sampled_from(["period", "band", "patch-radius"]),
+                       SIZES)
+
+
+def cell_lines(key=st.sampled_from(["bg", "patch"])):
+    return st.builds("{} {} {} {} {}".format, key, INDICES, INDICES, NUMBERS, NUMBERS)
+
+
+@st.composite
+def adversarial_operator_texts(draw):
+    lines = []
+    for line in draw(st.sampled_from(GOOD_OPS)).read_text().splitlines()[1:-1]:
+        key = line.split()[0]
+        changed = SIZE_LINES.filter(lambda s: s.split()[0] == key) if key in (
+            "period", "band", "patch-radius") else cell_lines(st.just(key))
+        lines.append(draw(st.just(line) | st.just(line) | changed))
+    lines += draw(st.lists(SIZE_LINES | cell_lines() | st.sampled_from(
+        [*lines, "foo 1", "bg 0 0 1.0", "band 1 1", "patch x 0 1 0", "END"]), max_size=3))
+    lines = draw(st.permutations(lines))
+    return "\n".join(["FPUOP 1", *lines, *draw(st.sampled_from([["END"], ["END"], ["END"], []]))])
+
+
+@given(adversarial_operator_texts())
+@settings(max_examples=200, deadline=None)
+def test_adversarial_operator_files_exit_cleanly(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "adversarial.op"
+    path.write_text(text + "\n")
+    for command in ("check", "index"):
+        result = run_command(["op", command, str(path)])
+        assert isinstance(result, CommandResult)
+        assert result.exit_code in (0, 1, 2)
+        if result.exit_code:
+            assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        else:
+            assert result.stderr == ""
 
 
 def test_huge_window_over_zero_background_shrinks_to_its_given_cell(tmp_path):

@@ -256,13 +256,12 @@ def test_pattern_leakage_matches_scalar_oracle(rng, end_periodic):
 
 
 def test_decompose_wrapped_periodic_matches_periodic(rng):
+    # wrapping with an empty radius-0 patch gives the operator itself back, so
+    # decompose has one input and one path for it
     for _ in range(4):
         op = synth_random(0, int(rng.integers(1, 4)), int(rng.integers(1, 4)), 0,
                           seed=int(rng.integers(0, 2 ** 32)))
-        plain, wrapped = decompose(op), decompose(EndPeriodicOperator(op, 0, {}))
-        assert wrapped.block_size == plain.block_size
-        assert operators_close(wrapped.v, plain.v)
-        assert operators_close(wrapped.w, plain.w)
+        assert EndPeriodicOperator(op, 0, {}) is op
 
 
 def test_index_invariant_under_retraction(rng):
@@ -298,7 +297,7 @@ def test_retract_patch_equal_to_background():
 def test_retract_rejects_non_unitary_background():
     half = make_periodic(1, 0, [(0, 0, 0.5)])
     broken = EndPeriodicOperator(half, 1, {(0, 0): 1.0, (-1, -1): 1.0})
-    with pytest.raises(ValidationError):
+    with pytest.raises(NumericalError, match="^operator is not unitary: residual 7.500e-01"):
         retract_periodic(broken)
 
 

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from fpu.cli import parse_operator_text, serialize_operator
 from fpu.errors import ValidationError
+from fpu.gnvw import index, synth_random
 from fpu.matutil import haar_unitary
 from fpu.operators import (EndPeriodicOperator, PeriodicBandOperator,
                            StateVector, adjoint, apply_state, block_diagonal,
-                           corner_data, delta_embed, embed_finite, identity,
+                           delta_embed, embed_finite, identity,
                            make_periodic, make_shift, max_entry_difference,
                            multiply, propagation, unitarity_residual, window)
 
@@ -167,8 +168,7 @@ def test_patch_overrides_background_with_zero():
 def test_patch_agreeing_with_background_shrinks_away():
     s = make_shift(1)
     padded = EndPeriodicOperator(s, 2, {(-2, -1): 1.0, (-1, 0): 1.0, (0, 1): 1.0})
-    assert padded.patch_radius == 0
-    assert padded == s
+    assert padded is s  # a periodic operator has no second, radius-0 form
 
 
 def test_patch_interior_deviation_shrinks_to_its_ring():
@@ -257,14 +257,8 @@ def test_wrapped_periodic_operator_agrees_with_periodic(rng):
         p = random_operator(rng)
         while p.patch_radius:
             p = random_operator(rng)
-        wrapped = EndPeriodicOperator(p, 0, {})
-        other = random_operator(rng, end_periodic=rng.integers(0, 2) == 0)
-        assert propagation(wrapped) == propagation(p)
-        assert wrapped.prop_bound() == p.prop_bound()
-        assert serialize_operator(wrapped) == serialize_operator(p)
-        for pair in ((wrapped, other), (other, wrapped), (wrapped, wrapped)):
-            plain = [p if x is wrapped else x for x in pair]
-            assert serialize_operator(multiply(*pair)) == serialize_operator(multiply(*plain))
+        # an empty radius-0 patch leaves the periodic operator, its only form
+        assert EndPeriodicOperator(p, 0, {}) is p
 
 
 # -- dense window -------------------------------------------------------------------
@@ -424,37 +418,36 @@ def test_adjoint_inverse_property(rng):
 
 
 # -- corners -----------------------------------------------------------------------------
+# index reads the Hilbert-Schmidt sums of the two off-corner blocks U(-,+)
+# (rows < 0, columns >= 0) and U(+,-) (rows >= 0, columns < 0).
+
+def corner_sums(op):
+    report = index(op)
+    return report.hs_minus_plus, report.hs_plus_minus
+
 
 def test_corner_data_identity_empty():
-    cd = corner_data(identity())
-    assert cd.size == 0
-    assert cd.minus_plus.size == 0 and cd.plus_minus.size == 0
+    assert corner_sums(identity()) == (0.0, 0.0)
 
 
 def test_corner_data_shift():
-    cd = corner_data(make_shift(1))
-    assert cd.size == 1
-    assert cd.minus_plus[0, 0] == 1.0
-    assert np.all(cd.plus_minus == 0)
+    assert corner_sums(make_shift(1)) == (1.0, 0.0)
 
 
 def test_corner_data_shift_three():
-    cd = corner_data(make_shift(3))
-    assert np.count_nonzero(cd.minus_plus) == 3
-    assert np.all(cd.plus_minus == 0)
-    assert float(np.sum(np.abs(cd.minus_plus) ** 2)) == 3.0
+    assert corner_sums(make_shift(3)) == (3.0, 0.0)
 
 
-def test_corner_data_covers_all_crossings(rng):
-    op = random_operator(rng, end_periodic=True)
-    cd = corner_data(op)
-    k = cd.size
-    w = 3 * (k + 1)
-    for i in range(-w, 0):
-        for j in range(0, w):
-            expected = op.entry(i, j)
-            got = cd.minus_plus[k + i, j] if (-k <= i and j < k) else 0j
-            assert got == expected
+def test_corner_data_covers_all_crossings():
+    # the entry oracle sums every crossing cell of a window wider than the band
+    for seed in range(6):
+        op = synth_random(seed % 3 - 1, seed % 3 + 1, 2, 1 + seed % 2, seed=seed)
+        assert isinstance(op, EndPeriodicOperator)
+        w = 3 * (op.prop_bound() + 1)
+        mp = sum(abs(op.entry(i, j)) ** 2 for i in range(-w, 0) for j in range(w))
+        pm = sum(abs(op.entry(i, j)) ** 2 for i in range(w) for j in range(-w, 0))
+        got = corner_sums(op)
+        assert abs(got[0] - mp) <= 1e-12 and abs(got[1] - pm) <= 1e-12
 
 
 # -- state application ----------------------------------------------------------------------
