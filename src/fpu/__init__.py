@@ -5,11 +5,10 @@ from .errors import NumericalError, ValidationError
 from .gnvw import (DecompositionResult, EndPeriodicSplit, IndexReport,
                    conjugating_unitary, decompose, factor_end_periodic, index,
                    retract_periodic, synth_random)
-from .operators import (EndPeriodicOperator, PeriodicBandOperator, StateVector,
-                        adjoint, apply_state, block_diagonal, delta_embed,
-                        embed_finite, identity, make_periodic, make_shift,
-                        max_entry_difference, multiply, operators_close,
-                        propagation, unitarity_residual)
+from .operators import (EndPeriodicOperator, PeriodicBandOperator, apply_state,
+                        block_diagonal, delta_embed, embed_finite, identity,
+                        make_shift, max_entry_difference, multiply, propagation,
+                        unitarity_residual)
 from .sequences import (DivisionWitness, EventuallyPeriodicSeq,
                         MembershipResult, alpha_map, alternating,
                         beta_interleave, coinv_equal, constant, delta,
@@ -20,11 +19,9 @@ __all__ = [
     "DecompositionResult", "EndPeriodicSplit", "IndexReport",
     "conjugating_unitary", "decompose", "factor_end_periodic", "index",
     "retract_periodic", "synth_random",
-    "EndPeriodicOperator", "PeriodicBandOperator", "StateVector",
-    "adjoint", "apply_state", "block_diagonal", "delta_embed",
-    "embed_finite", "identity", "make_periodic", "make_shift",
-    "max_entry_difference", "multiply", "operators_close", "propagation",
-    "unitarity_residual",
+    "EndPeriodicOperator", "PeriodicBandOperator", "apply_state",
+    "block_diagonal", "delta_embed", "embed_finite", "identity", "make_shift",
+    "max_entry_difference", "multiply", "propagation", "unitarity_residual",
     "DivisionWitness", "EventuallyPeriodicSeq", "MembershipResult",
     "alpha_map", "alternating", "beta_interleave", "coinv_equal", "constant",
     "delta", "divide_class", "in_image_one_minus_s",

@@ -45,8 +45,8 @@ import numpy as np
 from . import gnvw, sequences
 from .errors import NumericalError, ValidationError
 from .operators import (CHECK_TOL, EndPeriodicOperator, Operator,
-                        PeriodicBandOperator, StateVector, adjoint,
-                        apply_state, multiply, propagation, unitarity_residual)
+                        PeriodicBandOperator, apply_state, multiply, propagation,
+                        unitarity_residual)
 from .sequences import EventuallyPeriodicSeq
 
 
@@ -282,7 +282,7 @@ def _op_decompose(args, out: _Emitter):
 
 def _op_factor(args, out: _Emitter):
     split = gnvw.factor_end_periodic(_load_operator(args.file), args.tol)
-    out.emit("window", split.window)
+    out.emit("window", split.finite_part.patch_radius)
     out.emit("residual", split.residual)
     return split.finite_part, split.periodic_part
 
@@ -308,12 +308,9 @@ def _op_apply(args, out: _Emitter):
                 raise ValidationError(
                     f"--amp expects an integer index and two numbers, "
                     f"got {j!r} {re!r} {im!r}")
-        psi = StateVector(amps)
     else:
-        psi = StateVector.delta(args.delta)
-    result = apply_state(op, psi)
-    for j in result.support():
-        v = result[j]
+        amps = {args.delta: 1.0}
+    for j, v in apply_state(op, amps).items():
         out.emit_text(f"state {j} {_fmt_float(v.real)} {_fmt_float(v.imag)}")
 
 
@@ -364,7 +361,7 @@ def _build_parser() -> _Parser:
     command(op, "mul", lambda args, out: (
         multiply(_load_operator(args.a), _load_operator(args.b)),),
         "a", "b", outputs=one)
-    command(op, "adjoint", lambda args, out: (adjoint(_load_operator(args.file)),),
+    command(op, "adjoint", lambda args, out: (_load_operator(args.file).adjoint(),),
             "file", outputs=one)
     command(op, "decompose", _op_decompose, "file", tol=CHECK_TOL,
             outputs=("VOUT", "WOUT"))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .matutil import haar_unitary, polar_unitary, unitary_defect
-from .operators import (CHECK_TOL, Operator, PeriodicBandOperator, _patched, adjoint,
+from .operators import (CHECK_TOL, Operator, PeriodicBandOperator, _patched,
                         block_diagonal, delta_embed, embed_finite, identity, make_shift,
                         max_entry_difference, multiply, propagation, require_unitary,
                         window)
@@ -66,10 +66,6 @@ class EndPeriodicSplit:
     finite_part: Operator
     periodic_part: PeriodicBandOperator
     residual: float
-
-    @property
-    def window(self) -> int:
-        return self.finite_part.patch_radius
 
 
 def index(op: Operator, tol: float = INDEX_TOL) -> IndexReport:
@@ -194,7 +190,7 @@ def decompose(op: Operator, tol: float = CHECK_TOL) -> DecompositionResult:
                  {0: conjugating_unitary(_projection_window(op, half), half).conj().T})
     w_op = block_diagonal(-half, w_bg, central=w_central)
 
-    v_raw = multiply(op, adjoint(w_op))
+    v_raw = multiply(op, w_op.adjoint())
     leakage = _pattern_leakage(v_raw, block)
     if leakage > tol:
         raise NumericalError(
@@ -238,7 +234,7 @@ def factor_end_periodic(op: Operator, tol: float = CHECK_TOL) -> EndPeriodicSpli
     periodic_part = op.background
     # op's residual reads op op* = B B* and op* op = B* B over a full period
     # outside their patches, so raw's background is the identity within tol
-    raw = multiply(op, adjoint(periodic_part))
+    raw = multiply(op, periodic_part.adjoint())
     finite_part = _patched(identity(), raw.dense_patch)
 
     residual = max_entry_difference(multiply(finite_part, periodic_part), op)
@@ -257,8 +253,8 @@ def synth_random(target_index: int, period: int = 1, block_size: int = 1,
     at staggered offsets and an optional finite Haar patch contribute index
     zero each, so the product's index is exactly target_index.
     """
-    if seed is None:
-        raise ValidationError("a seed is required")
+    if seed is None or int(seed) < 0:
+        raise ValidationError("a seed >= 0 is required")
     period, block_size, patch_blocks = int(period), int(block_size), int(patch_blocks)
     if period < 1 or block_size < 1 or patch_blocks < 0:
         raise ValidationError("period and block size must be >= 1, patches >= 0")

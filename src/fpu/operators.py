@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import types
 from math import lcm
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -124,12 +124,9 @@ class Operator:
         # representation (exact structure plus complex double values)
         if not isinstance(other, Operator):
             return NotImplemented
-        return operators_close(self, other)
+        return max_entry_difference(self, other) <= CHECK_TOL
 
     __hash__ = None
-
-    def __matmul__(self, other):
-        return multiply(self, other)
 
 
 class PeriodicBandOperator(Operator):
@@ -310,18 +307,6 @@ def window(op: Operator, rows, cols) -> np.ndarray:
 
 # -- constructors -------------------------------------------------------------
 
-def make_periodic(period: int, band: int,
-                  entry_list: Iterable[Tuple[int, int, complex]]) -> PeriodicBandOperator:
-    """Build a periodic operator from (i, d, value) triples; duplicates rejected."""
-    entries: Dict[Tuple[int, int], complex] = {}
-    for i, d, v in entry_list:
-        key = (int(i), int(d))
-        if key in entries:
-            raise ValidationError(f"duplicate entry at (i, d) = {key}")
-        entries[key] = v
-    return PeriodicBandOperator(period, band, entries)
-
-
 def make_shift(k: int) -> PeriodicBandOperator:
     """S^k: (S^k v)_i = v_{i+k}, a single unit diagonal at offset k."""
     k = int(k)
@@ -380,10 +365,6 @@ def embed_finite(matrix: np.ndarray) -> Operator:
 
 # -- algebra -------------------------------------------------------------------
 
-def adjoint(op: Operator) -> Operator:
-    return op.adjoint()
-
-
 def _rows_product(a: Operator, b: Operator, rows, cols) -> np.ndarray:
     """Dense (ab)[rows, cols] for a run of rows covering a's patch window, summed
     over the rows extended by reach(A0): a row of a is nonzero nowhere else."""
@@ -434,10 +415,6 @@ def max_entry_difference(a: Operator, b: Operator) -> float:
     return float(np.max(np.abs(window(a, rows, cols) - window(b, rows, cols))))
 
 
-def operators_close(a: Operator, b: Operator, tol: float = CHECK_TOL) -> bool:
-    return max_entry_difference(a, b) <= tol
-
-
 def unitarity_residual(op: Operator) -> float:
     """max deviation of op*op^adj and op^adj*op from the identity."""
     ident = identity()
@@ -455,45 +432,23 @@ def require_unitary(op: Operator, tol: float = CHECK_TOL) -> float:
 
 # -- states --------------------------------------------------------------------
 
-class StateVector:
-    """Finitely supported vector in l2(Z), stored index -> complex amplitude."""
-
-    __slots__ = ("amplitudes",)
-
-    def __init__(self, amplitudes: Mapping[int, complex]):
-        _validated(values := np.array(list(amplitudes.values()), dtype=complex))
-        amps = {int(i): v for i, v in zip(amplitudes, values.tolist()) if v}
-        object.__setattr__(self, "amplitudes", amps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StateVector is immutable")
-
-    @classmethod
-    def delta(cls, j: int = 0) -> "StateVector":
-        return cls({j: 1.0})
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(abs(v) ** 2 for v in self.amplitudes.values())))
-
-    def support(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.amplitudes))
-
-    def __getitem__(self, j: int) -> complex:
-        return self.amplitudes.get(int(j), 0j)
-
-    def __repr__(self):
-        items = ", ".join(f"{i}: {v}" for i, v in sorted(self.amplitudes.items()))
-        return f"StateVector({{{items}}})"
-
-
-def apply_state(op: Operator, psi: StateVector) -> StateVector:
-    """(op psi)_i = sum_j op[i, j] psi_j; support grows by at most prop(op)."""
-    reach = op.prop_bound()
+def apply_state(op: Operator, amplitudes: Mapping[int, complex]) -> Dict[int, complex]:
+    """(op psi)_i = sum_j op[i, j] psi_j for psi = {j: amplitude}, as the nonzero
+    sums by index i; the support grows by at most prop_bound().  Raises
+    ValidationError on an amplitude that is not finite."""
+    _validated(values := np.array(list(amplitudes.values()), dtype=complex))
+    # a zero amplitude is dropped: adding its product could turn a sum's -0.0 to 0.0
+    psi = {int(j): v for j, v in zip(amplitudes, values.tolist()) if v}
+    reach, bg, r = op.prop_bound(), op.background, op.patch_radius
     out: Dict[int, complex] = {}
-    for j, v in psi.amplitudes.items():
-        rows = range(j - reach, j + reach + 1)
-        for i, w in zip(rows, window(op, np.asarray(rows), j).tolist()):
+    for j, v in psi.items():
+        # a column off the patch is a background column: read it at j mod period
+        # and shift its rows back in Python ints, which cannot overflow
+        base = 0 if -r <= j < r else j - j % bg.period
+        rows = range(j - base - reach, j - base + reach + 1)
+        column = window(bg if base else op, np.asarray(rows), j - base)
+        for i, w in zip(rows, column.tolist()):
             if w != 0:
-                out[i] = out.get(i, 0j) + w * v
+                out[i + base] = out.get(i + base, 0j) + w * v
     _computed(np.array(list(out.values()), dtype=complex))
-    return StateVector(out)
+    return {i: out[i] for i in sorted(out) if out[i]}

@@ -78,9 +78,6 @@ class EventuallyPeriodicSeq:
             return self.core[j - self.offset]
         return self.left[(j - self.offset) % len(self.left)]
 
-    def is_zero(self) -> bool:
-        return self == ZERO
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventuallyPeriodicSeq):
             return NotImplemented
@@ -159,20 +156,6 @@ class EventuallyPeriodicSeq:
         pl = lcm(3, len(self.left))
         pr = lcm(3, len(self.right))
         return from_window(val, lo, hi, pl, pr)
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.sub(other)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __rmul__(self, n):
-        if isinstance(n, int):
-            return self.scale(n)
-        return NotImplemented
 
 
 # -- canonicalization -------------------------------------------------------

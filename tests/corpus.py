@@ -6,9 +6,10 @@ Record the corpus with one tree's `src` on PYTHONPATH, then compare two records:
     python tests/corpus.py --compare A.json B.json
 
 The corpus synthesizes 72 operators with `op synth` and runs `index`, `check`,
-`adjoint`, `apply --delta 1`, `decompose`, `factor`, `retract` and `mul` (with
-the next operator, both orders) on each; then it writes 60 sequences and runs
-`member`, `divide`, `equal`, `blocksum`, `reduce3`, `alpha` and `add` on them.
+`adjoint`, `apply --delta 1`, `apply --amp` (see `_amplitudes`), `decompose`,
+`factor`, `retract` and `mul` (with the next operator, both orders) on each;
+then it writes 60 sequences and runs `member`, `divide`, `equal`, `blocksum`,
+`reduce3`, `alpha` and `add` on them.
 Each run is recorded with its exit code, stdout, stderr and the files it
 wrote.  The comparison prints, per command, how many runs are byte-identical,
 how many exit codes differ, how many outputs differ in more than numbers (a
@@ -31,9 +32,23 @@ OPERATORS = 72
 SEQUENCES = 60
 
 
+def _amplitudes(rng):
+    """--amp arguments: three random amplitudes at indices in [-40, 40], inside
+    and far outside any patch, then a zero, a -0.0 and the first index again,
+    whose amplitude the repeat replaces."""
+    cells = [[str(int(j)), repr(float(re)), repr(float(im))]
+             for j, re, im in zip(rng.integers(-40, 41, size=3),
+                                  rng.normal(size=3), rng.normal(size=3))]
+    cells += [[str(int(rng.integers(-40, 41))), "0", "0"],
+              [str(int(rng.integers(-40, 41))), "-0.0", "-0.0"],
+              [cells[0][0], "-0.0", repr(float(rng.normal()))]]
+    return [arg for cell in cells for arg in ["--amp", *cell]]
+
+
 def _operator_runs(rng):
-    """argv lists: one synth per operator, then the commands on each file."""
-    runs = []
+    """argv lists: one synth per operator, then the commands on each file.
+    The amplitudes come from their own generator, so the other runs stay put."""
+    runs, amplitudes = [], np.random.default_rng(8)
     for k in range(OPERATORS):
         period, block = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         blocks = int(rng.integers(0, 3))
@@ -46,6 +61,7 @@ def _operator_runs(rng):
         runs += [["op", "index", u], ["op", "check", u],
                  ["op", "adjoint", u, "-o", f"adj{k}.op"],
                  ["op", "apply", u, "--delta", "1"],
+                 ["op", "apply", u, *_amplitudes(amplitudes)],
                  ["op", "decompose", u, "-o", f"v{k}.op", f"w{k}.op"],
                  ["op", "factor", u, "-o", f"fin{k}.op", f"per{k}.op"],
                  ["op", "retract", u, "-o", f"ret{k}.op"],

@@ -15,7 +15,7 @@ import pytest
 from fpu.cli import run_command, serialize_operator
 from fpu.errors import NumericalError
 from fpu.gnvw import decompose, factor_end_periodic, index, synth_random
-from fpu.operators import (EndPeriodicOperator, adjoint, identity, make_shift,
+from fpu.operators import (EndPeriodicOperator, identity, make_shift,
                            max_entry_difference, multiply, propagation,
                            unitarity_residual)
 from fpu.sequences import (EventuallyPeriodicSeq, ZERO, alpha_map, alternating,
@@ -144,7 +144,7 @@ def test_criterion_06_end_periodic_splitting():
             product = multiply(split.finite_part, split.periodic_part)
             assert max_entry_difference(product, op) <= 1e-9
             fin = split.finite_part
-            window = split.window
+            window = fin.patch_radius
             if isinstance(fin, EndPeriodicOperator):
                 assert fin.background == identity()
             for i in range(window, window + 2 * fin.period + 2):

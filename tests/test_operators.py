@@ -13,10 +13,10 @@ from fpu.errors import ValidationError
 from fpu.gnvw import index, synth_random
 from fpu.matutil import haar_unitary
 from fpu.operators import (EndPeriodicOperator, PeriodicBandOperator,
-                           StateVector, adjoint, apply_state, block_diagonal,
-                           delta_embed, embed_finite, identity,
-                           make_periodic, make_shift, max_entry_difference,
-                           multiply, propagation, unitarity_residual, window)
+                           apply_state, block_diagonal, delta_embed,
+                           embed_finite, identity, make_shift,
+                           max_entry_difference, multiply, propagation,
+                           unitarity_residual, window)
 
 from conftest import dense_window
 
@@ -58,17 +58,17 @@ def assert_product_matches_dense(a, b, w=None):
 # -- construction ------------------------------------------------------------
 
 def test_make_periodic_shift_structure():
-    s = make_periodic(1, 1, [(0, 1, 1.0)])
+    s = PeriodicBandOperator(1, 1, {(0, 1): 1.0})
     assert s == make_shift(1)
     assert propagation(s) == 1
 
 
 def test_make_periodic_identity():
-    assert make_periodic(1, 0, [(0, 0, 1.0)]) == identity()
+    assert PeriodicBandOperator(1, 0, {(0, 0): 1.0}) == identity()
 
 
 def test_make_periodic_swap_is_unitary_period_two():
-    swap = make_periodic(2, 1, [(0, 1, 1.0), (1, -1, 1.0)])
+    swap = PeriodicBandOperator(2, 1, {(0, 1): 1.0, (1, -1): 1.0})
     assert unitarity_residual(swap) <= 1e-12
     assert multiply(swap, swap) == identity()
     assert swap == delta_embed(SWAP, 0)
@@ -76,17 +76,15 @@ def test_make_periodic_swap_is_unitary_period_two():
 
 def test_make_periodic_validation():
     with pytest.raises(ValidationError):
-        make_periodic(2, 1, [(2, 0, 1.0)])
+        PeriodicBandOperator(2, 1, {(2, 0): 1.0})
     with pytest.raises(ValidationError):
-        make_periodic(1, 1, [(0, 2, 1.0)])
-    with pytest.raises(ValidationError):
-        make_periodic(1, 1, [(0, 1, 1.0), (0, 1, 0.5)])
+        PeriodicBandOperator(1, 1, {(0, 2): 1.0})
 
 
 def test_make_shift_basics():
     assert make_shift(0) == identity()
     assert propagation(make_shift(1)) == 1
-    assert make_shift(-2) == adjoint(make_shift(2))
+    assert make_shift(-2) == make_shift(2).adjoint()
 
 
 def test_entry_periodicity_random_spots(rng):
@@ -105,8 +103,8 @@ def test_block_diagonal_identity_block_is_identity():
 
 
 def test_block_diagonal_swap_matches_periodic():
-    assert block_diagonal(0, SWAP) == make_periodic(
-        2, 1, [(0, 1, 1.0), (1, -1, 1.0)])
+    assert block_diagonal(0, SWAP) == PeriodicBandOperator(
+        2, 1, {(0, 1): 1.0, (1, -1): 1.0})
 
 
 def test_block_diagonal_alignment_matters():
@@ -137,7 +135,7 @@ def test_embed_finite_placement():
     assert op.entry(-1, 0) == 1.0
     assert op.entry(0, -1) == 1.0
     assert op.entry(3, 3) == 1.0
-    assert apply_state(op, StateVector.delta(0)).support() == (-1,)
+    assert list(apply_state(op, {0: 1.0})) == [-1]
 
 
 def test_embed_finite_identity_collapses():
@@ -308,7 +306,7 @@ def test_window_matches_scalar_oracle(rng, end_periodic):
 
 def test_shift_inverse_and_composition():
     s = make_shift(1)
-    assert multiply(s, adjoint(s)) == identity()
+    assert multiply(s, s.adjoint()) == identity()
     assert multiply(make_shift(1), make_shift(2)) == make_shift(3)
 
 
@@ -383,22 +381,22 @@ def test_propagation_subadditive(rng):
 # -- adjoint --------------------------------------------------------------------------
 
 def test_adjoint_examples(rng):
-    assert adjoint(identity()) == identity()
-    assert adjoint(make_shift(1)) == make_shift(-1)
-    phase = make_periodic(1, 0, [(0, 0, np.exp(0.3j))])
-    assert adjoint(phase) == make_periodic(1, 0, [(0, 0, np.exp(-0.3j))])
+    assert identity().adjoint() == identity()
+    assert make_shift(1).adjoint() == make_shift(-1)
+    phase = PeriodicBandOperator(1, 0, {(0, 0): np.exp(0.3j)})
+    assert phase.adjoint() == PeriodicBandOperator(1, 0, {(0, 0): np.exp(-0.3j)})
 
 
 def test_adjoint_involution(rng):
     for _ in range(8):
         op = random_operator(rng, end_periodic=rng.integers(0, 2) == 0)
-        assert adjoint(adjoint(op)) == op
+        assert op.adjoint().adjoint() == op
 
 
 def test_adjoint_transposes_dense(rng):
     op = random_operator(rng, end_periodic=True)
     w = 12
-    assert np.allclose(dense_window(adjoint(op), -w, w),
+    assert np.allclose(dense_window(op.adjoint(), -w, w),
                        dense_window(op, -w, w).conj().T, atol=1e-14)
 
 
@@ -407,14 +405,14 @@ def test_adjoint_transposes_dense(rng):
 def test_unitarity_examples(rng):
     assert unitarity_residual(make_shift(1)) <= 1e-12
     assert unitarity_residual(delta_embed(haar_unitary(3, rng), 0)) <= 1e-10
-    half = make_periodic(1, 0, [(0, 0, 0.5)])
+    half = PeriodicBandOperator(1, 0, {(0, 0): 0.5})
     assert abs(unitarity_residual(half) - 0.75) <= 1e-12
 
 
 def test_adjoint_inverse_property(rng):
     for _ in range(8):
         op = random_operator(rng, end_periodic=rng.integers(0, 2) == 0)
-        assert unitarity_residual(multiply(op, adjoint(op))) <= 1e-9
+        assert unitarity_residual(multiply(op, op.adjoint())) <= 1e-9
 
 
 # -- corners -----------------------------------------------------------------------------
@@ -452,25 +450,29 @@ def test_corner_data_covers_all_crossings():
 
 # -- state application ----------------------------------------------------------------------
 
+def norm(psi):
+    return float(np.sqrt(sum(abs(v) ** 2 for v in psi.values())))
+
+
 def test_apply_examples():
-    psi = StateVector({0: 0.6, 2: 0.8j})
-    assert apply_state(identity(), psi).amplitudes == psi.amplitudes
-    assert apply_state(make_shift(1), StateVector.delta(0)).support() == (-1,)
+    psi = {0: 0.6, 2: 0.8j}
+    assert apply_state(identity(), psi) == psi
+    assert list(apply_state(make_shift(1), {0: 1.0})) == [-1]
     swap = delta_embed(SWAP, 0)
-    assert apply_state(swap, StateVector.delta(0)).support() == (1,)
+    assert list(apply_state(swap, {0: 1.0})) == [1]
 
 
 def test_apply_norm_preserved(rng):
-    psi = StateVector({-2: 0.5, 0: 0.5j, 3: -0.70710678})
+    psi = {-2: 0.5, 0: 0.5j, 3: -0.70710678}
     for _ in range(6):
         op = random_operator(rng, end_periodic=rng.integers(0, 2) == 0)
-        assert abs(apply_state(op, psi).norm() - psi.norm()) <= 1e-9
+        assert abs(norm(apply_state(op, psi)) - norm(psi)) <= 1e-9
 
 
 def test_apply_far_from_patch_uses_background(rng):
     op = multiply(embed_finite(haar_unitary(4, rng)), make_shift(1))
-    far = apply_state(op, StateVector.delta(1000))
-    assert far.support() == (999,)
+    far = apply_state(op, {1000: 1.0})
+    assert list(far) == [999]
     assert abs(far[999] - 1.0) <= 1e-12
 
 
@@ -488,13 +490,13 @@ def test_apply_matches_dense(rng):
     op = random_operator(rng, end_periodic=True)
     w = 16
     vec = np.zeros(2 * w, dtype=complex)
-    psi = StateVector({-1: 0.3, 2: -0.4j, 5: 1.0})
-    for i, v in psi.amplitudes.items():
+    psi = {-1: 0.3, 2: -0.4j, 5: 1.0}
+    for i, v in psi.items():
         vec[w + i] = v
     out = dense_window(op, -w, w) @ vec
     result = apply_state(op, psi)
     for i in range(-w // 2, w // 2):
-        assert abs(result[i] - out[w + i]) <= 1e-12
+        assert abs(result.get(i, 0j) - out[w + i]) <= 1e-12
 
 
 # -- properties of the storage ---------------------------------------------------------
@@ -593,7 +595,7 @@ def test_left_out_cells_are_explicit_zeros(case, data):
 @given(storage_operators())
 @settings(max_examples=80)
 def test_double_adjoint_serializes_as_mapping_built(op):
-    assert serialize_operator(adjoint(adjoint(op))) == serialize_operator(op)
+    assert serialize_operator(op.adjoint().adjoint()) == serialize_operator(op)
 
 
 @given(st.integers(1, 3).flatmap(lambda half: st.lists(
