@@ -25,8 +25,8 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .matutil import haar_unitary, polar_unitary, unitary_defect
 from .operators import (CHECK_TOL, Operator, PeriodicBandOperator, _patched,
-                        block_diagonal, delta_embed, embed_finite, identity, make_shift,
-                        max_entry_difference, multiply, propagation, require_unitary,
+                        _product_residual, block_diagonal, delta_embed, embed_finite,
+                        identity, make_shift, multiply, propagation, require_unitary,
                         window)
 
 # default acceptance tolerance on the index integer deviation
@@ -203,7 +203,7 @@ def decompose(op: Operator, tol: float = CHECK_TOL) -> DecompositionResult:
                  for m in range((-radius) // block, -((-radius) // block))}
     v_op = block_diagonal(0, v_bg, central=v_central)
 
-    residual = max_entry_difference(multiply(v_op, w_op), op)
+    residual = _product_residual(v_op, w_op, op)
     if residual > tol:
         raise NumericalError(
             f"reconstruction residual {residual:.3e} exceeds tolerance {tol:.3e}")
@@ -237,7 +237,7 @@ def factor_end_periodic(op: Operator, tol: float = CHECK_TOL) -> EndPeriodicSpli
     raw = multiply(op, periodic_part.adjoint())
     finite_part = _patched(identity(), raw.dense_patch)
 
-    residual = max_entry_difference(multiply(finite_part, periodic_part), op)
+    residual = _product_residual(finite_part, periodic_part, op)
     if residual > tol:
         raise NumericalError(
             f"split residual {residual:.3e} exceeds tolerance {tol:.3e}")

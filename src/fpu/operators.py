@@ -415,12 +415,70 @@ def max_entry_difference(a: Operator, b: Operator) -> float:
     return float(np.max(np.abs(window(a, rows, cols) - window(b, rows, cols))))
 
 
+def _excess(product: np.ndarray, target) -> float:
+    """sup |product - target|, product's values at or below ZERO_TOL read as 0,
+    as a constructor stores them.  Overwrites product."""
+    product[np.abs(product) <= ZERO_TOL] = 0
+    product -= target
+    return float(np.abs(product).max(initial=0.0))
+
+
+def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """conj(x) y, x conjugated in place: both are windows made for this product."""
+    return _computed(np.conjugate(x, out=x) @ y)
+
+
+def _runs(radius: int, n: int):
+    """Row runs that witness a product whose deviations from its period-n
+    background lie in rows [-radius, radius): [-radius, radius + n) as one run,
+    or as two where both parts are long, so its windows skip the blocks of
+    zeros between the patch rows and the period past them."""
+    if min(2 * radius, n) < 16:
+        return [(-radius, radius + n)]
+    return [(-radius, radius), (radius, radius + n)]
+
+
+def _product_residual(a: Operator, b: Operator, c: Operator) -> float:
+    """sup |ab - c| from window products of a and b, without building ab.
+    Rows [-R, R) hold ab's envelope (see multiply) and c's patch window; the
+    rows outside them repeat the common period of rows [R, R + n).  Each
+    row's columns span both bands."""
+    a0, b0, ra, rb = a.background, b.background, a.patch_radius, b.patch_radius
+    radius = max(ra + b0.reach if ra else 0, rb + a0.reach if rb else 0, c.patch_radius)
+    n, w = lcm(a0.period, b0.period, c.period), max(a0.reach + b0.reach, c.background.reach)
+
+    def excess(lo, hi):  # over rows [lo, hi); past the patches only backgrounds are read
+        x, y, z = (a, b, c) if lo < radius else (a0, b0, c.background)
+        rows, cols = np.arange(lo, hi), np.arange(lo - w, hi + w)
+        return _excess(_rows_product(x, y, rows, cols), window(z, rows[:, None], cols))
+    return max(excess(lo, hi) for lo, hi in _runs(radius, n))
+
+
 def unitarity_residual(op: Operator) -> float:
-    """max deviation of op*op^adj and op^adj*op from the identity."""
-    ident = identity()
-    star = op.adjoint()
-    return max(max_entry_difference(multiply(op, star), ident),
-               max_entry_difference(multiply(star, op), ident))
+    """max deviation of op op* and op* op from the identity, as Gram products
+    of windows of op, of its rows and of its columns.  A Gram cell pairs two
+    rows (columns) of op and is the background's unless one of them meets
+    the patch window [-R, R)^2.  The Grams are Hermitian, so their rows
+    [-R, R) and one period of the background's Gram rows past them witness
+    every deviation.  A row or column of op is nonzero only inside the patch
+    window or within reach of itself: the sum runs over the rows extended by
+    reach, the columns extend that by reach again."""
+    reach, r = op.background.reach, op.patch_radius
+
+    def deviation(lo, hi, columns):  # sup |gram - I| over rows [lo, hi)
+        rows, mid, cols = (np.arange(lo - k * reach, hi + k * reach) for k in range(3))
+        u = op if lo < r else op.background
+        # the Gram of op's rows is the conjugate of op op*; of its columns, op* op
+        gram = (_gram(window(u, mid[:, None], rows).T, window(u, mid[:, None], cols))
+                if columns else
+                _gram(window(u, rows[:, None], mid), window(u, cols[:, None], mid).T))
+        ones = gram.reshape(-1)[2 * reach::len(cols) + 1]  # the identity's cells
+        diagonal = ones.copy()
+        ones[:] = 0
+        off = float(np.abs(gram).max(initial=0.0))
+        return max(off if off > ZERO_TOL else 0.0, _excess(diagonal, 1))
+    return max(deviation(lo, hi, columns) for lo, hi in _runs(r, op.period)
+               for columns in (False, True))
 
 
 def require_unitary(op: Operator, tol: float = CHECK_TOL) -> float:

@@ -13,10 +13,12 @@ then it writes 60 sequences and runs `member`, `divide`, `equal`, `blocksum`,
 Each run is recorded with its exit code, stdout, stderr and the files it
 wrote.  The comparison prints, per command, how many runs are byte-identical,
 how many exit codes differ, how many outputs differ in more than numbers (a
-`decompose` may pick another basis) and the largest difference between
-numbers that stand in the same place; it exits 1 when any run's exit code
-differs between the two records.  `decompose` exits 0 only when its own
-leakage, reconstruction and block checks pass.  Not collected by pytest.
+`decompose` may pick another basis), how many runs wrote a file that differs,
+the largest difference between numbers that stand in the same place and the
+report keys whose values differ; then whether any written file differs.  It
+exits 1 when any run's exit code differs between the two records.
+`decompose` exits 0 only when its own leakage, reconstruction and block
+checks pass.  Not collected by pytest.
 """
 
 import argparse
@@ -156,6 +158,12 @@ def _text(run):
                       *(f"{name}\n{text}" for name, text in sorted(run["files"].items()))])
 
 
+def _differing_keys(a, b):
+    """Report keys (a line's first word) whose lines differ between two stdouts."""
+    return {x.split()[0] for x, y in zip(a.splitlines(), b.splitlines())
+            if x != y and x.split()[:1] == y.split()[:1]}
+
+
 def compare(path_a, path_b):
     with open(path_a, encoding="utf-8") as handle:
         runs_a = json.load(handle)
@@ -163,8 +171,9 @@ def compare(path_a, path_b):
         runs_b = json.load(handle)
     if [r["argv"] for r in runs_a] != [r["argv"] for r in runs_b]:
         sys.exit("the two records hold different runs")
-    # runs, identical, exit codes differing, differing in more than numbers, largest
-    stats = defaultdict(lambda: [0, 0, 0, 0, 0.0])
+    # runs, identical, exit codes differing, differing in more than numbers,
+    # written files differing, largest, differing report keys
+    stats = defaultdict(lambda: [0, 0, 0, 0, 0, 0.0, set()])
     for a, b in zip(runs_a, runs_b):
         entry = stats[" ".join(a["argv"][:2])]
         entry[0] += 1
@@ -172,15 +181,20 @@ def compare(path_a, path_b):
             entry[1] += 1
             continue
         entry[2] += a["exit"] != b["exit"]
+        entry[4] += a["files"] != b["files"]
+        entry[6] |= _differing_keys(a["stdout"], b["stdout"])
         largest = _largest_difference(_text(a), _text(b))
         if largest is None:
             entry[3] += 1
         else:
-            entry[4] = max(entry[4], largest)
+            entry[5] = max(entry[5], largest)
     print(f"{'command':<14} {'runs':>5} {'identical':>9} {'exit-differs':>12} "
-          f"{'form-differs':>12} {'largest':>9}")
-    for command, (total, same, exits, form, largest) in stats.items():
-        print(f"{command:<14} {total:>5} {same:>9} {exits:>12} {form:>12} {largest:>9.2g}")
+          f"{'form-differs':>12} {'files-differ':>12} {'largest':>9}  keys-differ")
+    for command, (total, same, exits, form, files, largest, keys) in stats.items():
+        print(f"{command:<14} {total:>5} {same:>9} {exits:>12} {form:>12} {files:>12} "
+              f"{largest:>9.2g}  {','.join(sorted(keys)) or '-'}")
+    files = sum(entry[4] for entry in stats.values())
+    print(f"written files: {f'{files} runs differ' if files else 'all identical'}")
     return any(entry[2] for entry in stats.values())
 
 

@@ -391,6 +391,23 @@ def test_far_corner_patch_checks_within_its_own_window(tmp_path):
     assert peak < 8 * 2 ** 20
 
 
+def test_shift_check_sums_only_over_the_band(tmp_path):
+    # S^200 over one period: the Gram windows sum over rows extended by the
+    # reach, 401 wide, against 801 columns; a sum run as wide as the columns
+    # doubles the peak (14.8 MB)
+    path = tmp_path / "s200.op"
+    path.write_text("FPUOP 1\nperiod 1\nband 200\nbg 0 200 1.0 0.0\nEND\n")
+    tracemalloc.start()
+    try:
+        result = run_command(["op", "check", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.stdout == ("unitary true\nresidual 0.0\npropagation 200\nperiod 1\n"
+                             "patch-radius 0\n")
+    assert peak < 10 * 2 ** 20
+
+
 def test_overflowing_apply_exits_two():
     # each amplitude is finite; their rotated sums overflow to inf
     result = run_command(["op", "apply", fixture("rot.op"),

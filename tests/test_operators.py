@@ -17,6 +17,7 @@ from fpu.operators import (EndPeriodicOperator, PeriodicBandOperator,
                            embed_finite, identity, make_shift,
                            max_entry_difference, multiply, propagation,
                            unitarity_residual, window)
+from fpu.operators import _product_residual
 
 from conftest import dense_window
 
@@ -413,6 +414,80 @@ def test_adjoint_inverse_property(rng):
     for _ in range(8):
         op = random_operator(rng, end_periodic=rng.integers(0, 2) == 0)
         assert unitarity_residual(multiply(op, op.adjoint())) <= 1e-9
+
+
+def built_unitarity_residual(op):
+    """The residual from the products and the identity built as operators."""
+    star = op.adjoint()
+    return max(max_entry_difference(multiply(op, star), identity()),
+               max_entry_difference(multiply(star, op), identity()))
+
+
+def seeded_operators(count):
+    """synth_random operators of mixed index, period and block; odd seeds
+    give end-periodic ones."""
+    return [synth_random(k % 5 - 2, 1 + k % 4, 1 + k // 4 % 4, k % 2 * (1 + k // 8 % 2),
+                         seed=k) for k in range(count)]
+
+
+def test_unitarity_residual_matches_the_built_products(rng):
+    ops = seeded_operators(40)
+    for op in ops[1::2]:  # one patch entry, the largest, scaled by 1 + 1e-7
+        patch = dict(op.patch)
+        cell = max(patch, key=lambda c: abs(patch[c]))
+        patch[cell] *= 1 + 1e-7
+        ops.append(EndPeriodicOperator(op.background, op.patch_radius, patch))
+    # a period and a patch both long enough to read the patch rows on their own;
+    # the second differs from a unitary only on a background diagonal cell of
+    # residue 60 mod 80, which the patch on [-40, 40)^2 hides: rows 60 + 80t witness it
+    ops.append(synth_random(0, 70, 2, 32, seed=5))
+    phases = {(i, 0): complex(np.exp(1j * i)) for i in range(80)}
+    op = multiply(PeriodicBandOperator(80, 0, phases), embed_finite(haar_unitary(80, rng)))
+    phases[60, 0] *= 1 + 1e-7
+    ops.append(EndPeriodicOperator(PeriodicBandOperator(80, 0, phases), 40, op.patch))
+    assert ops[-1].patch_radius == 40 and unitarity_residual(ops[-1]) > 1e-8
+    assert len({op.patch_radius > 0 for op in ops[:40]}) == 2
+    for op in ops:
+        assert abs(unitarity_residual(op) - built_unitarity_residual(op)) <= 1e-15
+    assert all(1e-8 < unitarity_residual(op) < 1e-6 for op in ops[40:60])
+    half = PeriodicBandOperator(1, 0, {(0, 0): 0.5})
+    zero = PeriodicBandOperator(1, 0, {})
+    assert unitarity_residual(half) == built_unitarity_residual(half) == 0.75
+    assert unitarity_residual(zero) == built_unitarity_residual(zero) == 1.0
+
+
+def test_product_residual_matches_the_built_product(rng):
+    ops = seeded_operators(30)
+    triples = []
+    for k in range(0, 30, 3):
+        a, b, other = ops[k:k + 3]
+        ab = multiply(a, b)
+        envelope = max(a.patch_radius + b.background.reach if a.patch_radius else 0,
+                       b.patch_radius + a.background.reach if b.patch_radius else 0)
+        wide = multiply(ab, embed_finite(haar_unitary(2 * envelope + 4, rng)))
+        assert wide.patch_radius > envelope and other.period != ab.period
+        triples += [(a, b, ab), (a, b, wide), (a, b, other), (b, a, ab)]
+    # periods and patches long enough to read the patch rows on their own; the
+    # last c differs from big on one background diagonal cell, of a residue
+    # that only the period of rows past the patch holds outside it
+    big, other = synth_random(0, 70, 2, 32, seed=5), synth_random(1, 35, 3, 33, seed=6)
+    entries = dict(big.background.entries)
+    entries[(big.patch_radius + 1) % 70, 0] *= 1 + 1e-7
+    moved = EndPeriodicOperator(PeriodicBandOperator(70, big.background.band, entries),
+                                big.patch_radius, big.patch)
+    triples += [(big, other, multiply(big, other)), (big, other, big),
+                (big, big.adjoint(), identity()), (big, identity(), moved)]
+    # c differs from ab on its outermost diagonals, or beyond ab's band;
+    # values of ab at or below 1e-12 count as 0
+    tiny = PeriodicBandOperator(1, 0, {(0, 0): 1e-6})
+    triples += [(make_shift(k), make_shift(k), PeriodicBandOperator(1, 2, {(0, 2 * k): 1.5}))
+                for k in (-1, 1)]
+    triples += [(identity(), identity(), PeriodicBandOperator(1, 3, {(0, 0): 1, (0, 3): 0.5})),
+                (tiny, tiny, PeriodicBandOperator(1, 0, {}))]
+    for a, b, c in triples:
+        built = max_entry_difference(multiply(a, b), c)
+        assert abs(_product_residual(a, b, c) - built) <= 1e-15
+    assert _product_residual(big, identity(), moved) > 1e-9
 
 
 # -- corners -----------------------------------------------------------------------------
