@@ -374,21 +374,31 @@ def _rows_product(a: Operator, b: Operator, rows, cols) -> np.ndarray:
     return _computed(product)
 
 
+def _envelope(a: Operator, b: Operator) -> int:
+    """Radius R of the square [-R, R)^2 outside which ab is A0 B0: in AB - A0 B0
+    = (A - A0) B + A0 (B - B0) the first term lies within reach(B0) of
+    [-Ra, Ra)^2 and is 0 if Ra = 0, the second within reach(A0) of [-Rb, Rb)^2."""
+    ra, rb = a.patch_radius, b.patch_radius
+    return max(ra + b.background.reach if ra else 0, rb + a.background.reach if rb else 0)
+
+
+def _band(a0: PeriodicBandOperator, b0: PeriodicBandOperator, n: int, w: int):
+    """Diagonals -w..w of rows [0, n) of a0 b0: table[i, w + d] = (a0 b0)[i, i + d]."""
+    rows = np.arange(n)[:, None]
+    product = _rows_product(a0, b0, rows[:, 0], np.arange(-w, n + w))
+    return product[rows, rows + np.arange(2 * w + 1)]
+
+
 def multiply(a: Operator, b: Operator) -> Operator:
     """Exact banded product; propagation is subadditive by construction.
 
-    Rows [0, n) of A0 B0, n the lcm of the periods, give its table of
-    diagonals and [-R, R)^2 of AB its patch: in AB - A0 B0 = (A - A0) B +
-    A0 (B - B0) the first term lies within reach(B0) of [-Ra, Ra)^2 and is 0
-    if Ra = 0, the second within reach(A0) of [-Rb, Rb)^2.  The constructor's
-    shrink pass trims the patch to the cells that deviate from A0 B0.
+    Its table of diagonals is the _band of A0 B0 over the lcm of the periods,
+    its patch [-R, R)^2 of AB, R the _envelope.  The constructor's shrink pass
+    trims the patch to the cells that deviate from A0 B0.
     """
-    a0, b0, ra, rb = a.background, b.background, a.patch_radius, b.patch_radius
-    radius = max(ra + b0.reach if ra else 0, rb + a0.reach if rb else 0)
-    n, reach = lcm(a0.period, b0.period), a0.reach + b0.reach
-    rows = np.arange(n)[:, None]
-    table = _rows_product(a0, b0, rows[:, 0], np.arange(-reach, n + reach))
-    bg = _periodic(a0.band + b0.band, table[rows, rows + np.arange(2 * reach + 1)])
+    a0, b0, radius = a.background, b.background, _envelope(a, b)
+    table = _band(a0, b0, lcm(a0.period, b0.period), a0.reach + b0.reach)
+    bg = _periodic(a0.band + b0.band, table)
     if not radius:
         return bg
     cells = np.arange(-radius, radius)
@@ -401,20 +411,6 @@ def propagation(op: Operator) -> int:
     return max(op.background.reach, int(np.abs(i - j).max(initial=0)))
 
 
-def max_entry_difference(a: Operator, b: Operator) -> float:
-    """sup |a_ij - b_ij|, evaluated over a window wide enough to witness it.
-
-    The rows cover both patch windows and one full common background period
-    past them; every row outside the patch windows is a background row, so it
-    repeats a row of that period.  Each row spans both bands.
-    """
-    prop = max(a.prop_bound(), b.prop_bound(), 1)
-    radius = max(a.patch_radius, b.patch_radius)
-    rows = np.arange(-radius, radius + lcm(a.period, b.period))[:, None]
-    cols = rows + np.arange(-prop, prop + 1)
-    return float(np.max(np.abs(window(a, rows, cols) - window(b, rows, cols))))
-
-
 def _excess(product: np.ndarray, target) -> float:
     """sup |product - target|, product's values at or below ZERO_TOL read as 0,
     as a constructor stores them.  Overwrites product."""
@@ -423,62 +419,58 @@ def _excess(product: np.ndarray, target) -> float:
     return float(np.abs(product).max(initial=0.0))
 
 
-def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """conj(x) y, x conjugated in place: both are windows made for this product."""
-    return _computed(np.conjugate(x, out=x) @ y)
+# A fact about operators is decided by two blocks: the square [-R, R)^2, outside
+# which each is its background, and the diagonals of one common period of the
+# backgrounds.  A periodic difference has a translate outside any square, so
+# the background block may compare every one of its cells.
 
-
-def _runs(radius: int, n: int):
-    """Row runs that witness a product whose deviations from its period-n
-    background lie in rows [-radius, radius): [-radius, radius + n) as one run,
-    or as two where both parts are long, so its windows skip the blocks of
-    zeros between the patch rows and the period past them."""
-    if min(2 * radius, n) < 16:
-        return [(-radius, radius + n)]
-    return [(-radius, radius), (radius, radius + n)]
+def max_entry_difference(a: Operator, b: Operator) -> float:
+    """sup |a_ij - b_ij|, exactly: over the square of the larger patch radius and
+    the diagonals of one common period, out to the larger reach."""
+    a0, b0, radius = a.background, b.background, max(a.patch_radius, b.patch_radius)
+    w, cells = max(a0.reach, b0.reach), np.arange(-radius, radius)[:, None]
+    rows = np.arange(lcm(a0.period, b0.period))[:, None]
+    blocks = (a0, b0, rows, rows + np.arange(-w, w + 1)), (a, b, cells, cells.T)
+    return max(_excess(window(x, i, j), window(y, i, j)) for x, y, i, j in blocks)
 
 
 def _product_residual(a: Operator, b: Operator, c: Operator) -> float:
-    """sup |ab - c| from window products of a and b, without building ab.
-    Rows [-R, R) hold ab's envelope (see multiply) and c's patch window; the
-    rows outside them repeat the common period of rows [R, R + n).  Each
-    row's columns span both bands."""
-    a0, b0, ra, rb = a.background, b.background, a.patch_radius, b.patch_radius
-    radius = max(ra + b0.reach if ra else 0, rb + a0.reach if rb else 0, c.patch_radius)
-    n, w = lcm(a0.period, b0.period, c.period), max(a0.reach + b0.reach, c.background.reach)
-
-    def excess(lo, hi):  # over rows [lo, hi); past the patches only backgrounds are read
-        x, y, z = (a, b, c) if lo < radius else (a0, b0, c.background)
-        rows, cols = np.arange(lo, hi), np.arange(lo - w, hi + w)
-        return _excess(_rows_product(x, y, rows, cols), window(z, rows[:, None], cols))
-    return max(excess(lo, hi) for lo, hi in _runs(radius, n))
+    """sup |ab - c| from window products of a and b, without building ab: over
+    the diagonals of one common period out to the wider band, and over the
+    square of ab's _envelope and c's patch radius."""
+    a0, b0, c0 = a.background, b.background, c.background
+    n, w = lcm(a0.period, b0.period, c0.period), max(a0.reach + b0.reach, c0.reach)
+    rows = np.arange(n)[:, None]
+    residual = _excess(_band(a0, b0, n, w), window(c0, rows, rows + np.arange(-w, w + 1)))
+    radius = max(_envelope(a, b), c.patch_radius)
+    if not radius:
+        return residual
+    cells = np.arange(-radius, radius)
+    return max(residual, _excess(_rows_product(a, b, cells, cells),
+                                 window(c, cells[:, None], cells)))
 
 
 def unitarity_residual(op: Operator) -> float:
-    """max deviation of op op* and op* op from the identity, as Gram products
-    of windows of op, of its rows and of its columns.  A Gram cell pairs two
-    rows (columns) of op and is the background's unless one of them meets
-    the patch window [-R, R)^2.  The Grams are Hermitian, so their rows
-    [-R, R) and one period of the background's Gram rows past them witness
-    every deviation.  A row or column of op is nonzero only inside the patch
-    window or within reach of itself: the sum runs over the rows extended by
-    reach, the columns extend that by reach again."""
+    """max deviation of op op* and op* op from the identity, as the Grams of
+    op's rows and of its columns: rows [0, n) of the background and the patch
+    rows [-R, R) of op.  A Gram cell is the background's unless one of its two
+    rows (columns) meets the patch window, and the Grams are Hermitian.  A row
+    or column of op is nonzero only inside the patch window or within reach of
+    itself: the sum runs over the rows extended by reach, the columns extend
+    that again."""
     reach, r = op.background.reach, op.patch_radius
 
-    def deviation(lo, hi, columns):  # sup |gram - I| over rows [lo, hi)
-        rows, mid, cols = (np.arange(lo - k * reach, hi + k * reach) for k in range(3))
-        u = op if lo < r else op.background
-        # the Gram of op's rows is the conjugate of op op*; of its columns, op* op
-        gram = (_gram(window(u, mid[:, None], rows).T, window(u, mid[:, None], cols))
-                if columns else
-                _gram(window(u, rows[:, None], mid), window(u, cols[:, None], mid).T))
-        ones = gram.reshape(-1)[2 * reach::len(cols) + 1]  # the identity's cells
-        diagonal = ones.copy()
-        ones[:] = 0
-        off = float(np.abs(gram).max(initial=0.0))
-        return max(off if off > ZERO_TOL else 0.0, _excess(diagonal, 1))
-    return max(deviation(lo, hi, columns) for lo, hi in _runs(r, op.period)
-               for columns in (False, True))
+    def deviation(u, lo, hi):  # sup |gram - I| over rows [lo, hi)
+        mid, cols = (np.arange(lo - k * reach, hi + k * reach) for k in (1, 2))
+        rows = slice(2 * reach, 2 * reach + hi - lo)  # the Gram's rows within its columns
+        identity = cols[rows, None] == cols
+
+        def excess(x):  # x's rows span the columns; their Gram is the conjugate of x x*
+            return _excess(_computed(x[rows].conj() @ x.T), identity)
+        return max(excess(window(u, cols[:, None], mid)),
+                   excess(window(u, mid[:, None], cols).T))
+    residual = deviation(op.background, 0, op.period)
+    return max(residual, deviation(op, -r, r)) if r else residual
 
 
 def require_unitary(op: Operator, tol: float = CHECK_TOL) -> float:

@@ -316,7 +316,8 @@ def test_declared_size_numpy_cannot_address_exits_two(tmp_path, sizes):
 # out-of-range indices, negative or huge sizes, and END sometimes left out.
 # A huge size is at least 10**13: any array it sizes needs more than the
 # 128 TiB a 64-bit process can address, so its allocation fails at once;
-# sizes up to 64 keep every array small.
+# sizes up to 64 keep every array small.  Every operator command that reads
+# a file runs on each, mul on the file with itself.
 SIZES = st.integers(1, 4) | st.integers(-64, 64) | st.integers(10 ** 13, 10 ** 40)
 INDICES = (st.integers(-3, 3) | st.integers(-70, 70)
            | st.integers(10 ** 13, 10 ** 40).map(lambda n: n * (-1) ** n))
@@ -349,8 +350,11 @@ def adversarial_operator_texts(draw):
 def test_adversarial_operator_files_exit_cleanly(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "adversarial.op"
     path.write_text(text + "\n")
-    for command in ("check", "index"):
-        result = run_command(["op", command, str(path)])
+    file = str(path)
+    for args in (["check", file], ["index", file], ["mul", file, file], ["adjoint", file],
+                 ["decompose", file], ["retract", file], ["factor", file],
+                 ["apply", file, "--delta", "3"]):
+        result = run_command(["op", *args])
         assert isinstance(result, CommandResult)
         assert result.exit_code in (0, 1, 2)
         if result.exit_code:
@@ -394,18 +398,25 @@ def test_far_corner_patch_checks_within_its_own_window(tmp_path):
 def test_shift_check_sums_only_over_the_band(tmp_path):
     # S^200 over one period: the Gram windows sum over rows extended by the
     # reach, 401 wide, against 801 columns; a sum run as wide as the columns
-    # doubles the peak (14.8 MB)
-    path = tmp_path / "s200.op"
-    path.write_text("FPUOP 1\nperiod 1\nband 200\nbg 0 200 1.0 0.0\nEND\n")
-    tracemalloc.start()
-    try:
-        result = run_command(["op", "check", str(path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.stdout == ("unitary true\nresidual 0.0\npropagation 200\nperiod 1\n"
-                             "patch-radius 0\n")
-    assert peak < 10 * 2 ** 20
+    # doubles the peak (14.8 MB).  The identity with -1 down a radius-300
+    # patch diagonal: each Gram reads one window of the patch rows, its rows a
+    # slice of its columns; reading those rows as a second window takes 27.9 MB.
+    diagonal = [f"patch {i} {i} -1.0 0.0" for i in range(-300, 300)]
+    for lines, report, megabytes in [
+            (["band 200", "bg 0 200 1.0 0.0"],
+             "propagation 200\nperiod 1\npatch-radius 0", 10),
+            (["band 0", "patch-radius 300", "bg 0 0 1.0 0.0", *diagonal],
+             "propagation 0\nperiod 1\npatch-radius 300", 25)]:
+        path = tmp_path / "band.op"
+        path.write_text("\n".join(["FPUOP 1", "period 1", *lines, "END", ""]))
+        tracemalloc.start()
+        try:
+            result = run_command(["op", "check", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.stdout == f"unitary true\nresidual 0.0\n{report}\n"
+        assert peak < megabytes * 2 ** 20, (report, peak)
 
 
 def test_overflowing_apply_exits_two():

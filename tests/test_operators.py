@@ -456,6 +456,18 @@ def test_unitarity_residual_matches_the_built_products(rng):
     assert unitarity_residual(zero) == built_unitarity_residual(zero) == 1.0
 
 
+def test_unitarity_residual_reads_every_residue_of_the_period():
+    # a row's own norm sits on the Gram's diagonal, which no other row of the
+    # period holds: a defect there shows only in that row's residue
+    for n in (1, 2, 5):
+        for k in range(n):
+            entries = {(i, 0): 1.0 for i in range(n)}
+            entries[k, 0] = 1 + 1e-7
+            op = PeriodicBandOperator(n, 0, entries)
+            assert abs(unitarity_residual(op) - built_unitarity_residual(op)) <= 1e-15
+            assert unitarity_residual(op) > 1e-7
+
+
 def test_product_residual_matches_the_built_product(rng):
     ops = seeded_operators(30)
     triples = []
@@ -552,13 +564,30 @@ def test_apply_far_from_patch_uses_background(rng):
 
 
 def test_entry_scan_window_is_sufficient(rng):
-    # max_entry_difference must bound disagreement far outside its scan window
-    a = random_operator(rng, end_periodic=True)
-    b = random_operator(rng, end_periodic=True)
-    reported = max_entry_difference(a, b)
-    w = 60
-    dense_gap = float(np.max(np.abs(dense_window(a, -w, w) - dense_window(b, -w, w))))
-    assert dense_gap <= reported + 1e-15
+    # max_entry_difference is exact: it equals the largest gap over a dense
+    # window holding both patches and a full common period past them
+    pairs = [(random_operator(rng, end_periodic=True), random_operator(rng, end_periodic=True))
+             for _ in range(4)]
+    ends = synth_random(1, 2, 1, 1, seed=3), synth_random(0, 3, 2, 1, seed=4)
+    assert ends[0].period != ends[1].period and all(op.patch_radius for op in ends)
+    pairs += [ends, (delta_embed(haar_unitary(2, rng), 1), ends[1])]
+    # one background cell moved, on the outermost diagonal above of the last
+    # residue or below of the first, and the largest patch cell moved
+    for op in ends:
+        bg, patch = op.background, dict(op.patch)
+        for cell in (bg.period - 1, bg.reach), (0, -bg.reach):
+            entries = dict(bg.entries)
+            entries[cell] = entries.get(cell, 0) + 1e-3
+            moved = PeriodicBandOperator(bg.period, bg.band, entries)
+            pairs.append((op, EndPeriodicOperator(moved, op.patch_radius, patch)))
+        cell = max(patch, key=lambda c: abs(patch[c]))
+        patch[cell] *= 1 + 1e-3
+        pairs.append((op, EndPeriodicOperator(bg, op.patch_radius, patch)))
+    for a, b in pairs:
+        w = (max(a.patch_radius, b.patch_radius) + np.lcm(a.period, b.period)
+             + max(a.background.reach, b.background.reach) + 1)
+        dense_gap = float(np.max(np.abs(dense_window(a, -w, w) - dense_window(b, -w, w))))
+        assert max_entry_difference(a, b) == max_entry_difference(b, a) == dense_gap > 0
 
 
 def test_apply_matches_dense(rng):
