@@ -117,7 +117,10 @@ class Operator:
         bg = self.background
         i, d = np.arange(bg.period)[:, None], np.arange(-bg.reach, bg.reach + 1)
         star = _periodic(bg.band, window(bg, i + d, i).conj())
-        return star if self is bg else _patched(star, self.dense_patch.conj().T)
+        # a cell and its transpose share a ring and their gap to the background, so
+        # the conjugate transpose of a minimal patch is minimal; C order, as window ravels it
+        patch = np.conjugate(self.dense_patch.T, order="C")
+        return star if self is bg else _new(EndPeriodicOperator, star, self.patch_radius, patch)
 
     def __eq__(self, other) -> bool:
         # entrywise over a common refinement; tolerance matches the floating
@@ -218,7 +221,7 @@ class EndPeriodicOperator(Operator):
         dense, inner = _zeros(2 * radius, 2 * radius), ring < radius
         dense[(i[inner] + radius).astype(np.int64),
               (j[inner] + radius).astype(np.int64)] = values[inner]
-        return _patched(background, dense)
+        return _new(EndPeriodicOperator, background, radius, dense) if radius else background
 
     @property
     def period(self) -> int:
@@ -425,13 +428,8 @@ def _excess(product: np.ndarray, target) -> float:
 # the background block may compare every one of its cells.
 
 def max_entry_difference(a: Operator, b: Operator) -> float:
-    """sup |a_ij - b_ij|, exactly: over the square of the larger patch radius and
-    the diagonals of one common period, out to the larger reach."""
-    a0, b0, radius = a.background, b.background, max(a.patch_radius, b.patch_radius)
-    w, cells = max(a0.reach, b0.reach), np.arange(-radius, radius)[:, None]
-    rows = np.arange(lcm(a0.period, b0.period))[:, None]
-    blocks = (a0, b0, rows, rows + np.arange(-w, w + 1)), (a, b, cells, cells.T)
-    return max(_excess(window(x, i, j), window(y, i, j)) for x, y, i, j in blocks)
+    """sup |a_ij - b_ij|, exactly, as the _product_residual of a I against b."""
+    return _product_residual(a, identity(), b)
 
 
 def _product_residual(a: Operator, b: Operator, c: Operator) -> float:

@@ -316,9 +316,10 @@ def in_image_one_minus_s(a: EventuallyPeriodicSeq) -> MembershipResult:
 
 def coinv_equal(a: EventuallyPeriodicSeq, b: EventuallyPeriodicSeq) -> bool:
     """Equality of the classes of a and b in the quotient by Im(1-S): the
-    membership test of in_image_one_minus_s on a - b, without its witness."""
-    d = a.sub(b)
-    return sum(d.left) == 0 and sum(d.right) == 0
+    membership test of in_image_one_minus_s on a - b, without building it.  The
+    drift of a - b over a common tail period vanishes when the tails' means agree."""
+    return (sum(a.left) * len(b.left) == sum(b.left) * len(a.left)
+            and sum(a.right) * len(b.right) == sum(b.right) * len(a.right))
 
 
 def divide_class(a: EventuallyPeriodicSeq, n: int) -> DivisionWitness:

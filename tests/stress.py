@@ -19,9 +19,10 @@ The files:
     S^1000          the shift bg 0 1000 1.0 0.0
 
 `check` runs on all five, `decompose` and `factor` on corner-300, `factor` on
-phase-1500+R300 and `index` on diag-600.  For each command and tree the table
-shows the median wall seconds and `ru_maxrss` MB of 3 runs, and with --traced
-the tracemalloc peak MB of one more run.  Not collected by pytest.
+phase-1500+R300, `index` on diag-600 and `adjoint -o` on diag-600 and
+corner-300, its output file removed before each run.  For each command and
+tree the table shows the median wall seconds and `ru_maxrss` MB of 3 runs, and
+with --traced the tracemalloc peak MB of one more run.  Not collected by pytest.
 """
 
 import argparse
@@ -52,7 +53,8 @@ print(json.dumps([seconds, rss, peak, result.exit_code]))
 
 RUNS = [("check", "phase-1500"), ("check", "phase-1500+R300"), ("check", "corner-300"),
         ("check", "diag-600"), ("check", "S^1000"), ("decompose", "corner-300"),
-        ("factor", "corner-300"), ("factor", "phase-1500+R300"), ("index", "diag-600")]
+        ("factor", "corner-300"), ("factor", "phase-1500+R300"), ("index", "diag-600"),
+        ("adjoint", "diag-600"), ("adjoint", "corner-300")]
 
 
 def _cell(key, i, j, value):
@@ -91,6 +93,8 @@ def files():
 
 
 def _run(src, traced, argv):
+    if "-o" in argv:  # time writing a new file, not overwriting the last run's
+        pathlib.Path(argv[-1]).unlink(missing_ok=True)
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(src).resolve()))
     out = subprocess.run([sys.executable, "-c", CHILD, "traced" if traced else "plain", *argv],
                          env=env, capture_output=True, text=True, check=True)
@@ -112,6 +116,7 @@ def main():
               + (f" {'peak':>7}" if args.traced else ""))
         for command, name in RUNS:
             argv = ["op", command, str(paths[name])]
+            argv += ["-o", str(pathlib.Path(tmp, "out.op"))] if command == "adjoint" else []
             samples = {src: [] for src in args.src}
             for _ in range(3):  # alternate the trees so drift hits each alike
                 for src in args.src:

@@ -199,6 +199,15 @@ def test_wide_window_over_zero_background_shrinks_without_a_dense_window():
     assert op.patch_radius == 6 and op.patch == {(5, -3): 0.5}
 
 
+def traced_peak(build):
+    """build() and the tracemalloc peak, in bytes, of the call alone."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("centre", [["patch 0 0 -1 0"], []], ids=["given", "left-out"])
 def test_wide_window_over_nonzero_background_scatters_only_its_ring(centre):
     # the identity given along the diagonal of a radius-1000 window except at
@@ -207,15 +216,24 @@ def test_wide_window_over_nonzero_background_scatters_only_its_ring(centre):
     lines = [f"patch {i} {i} 1 0" for i in range(-1000, 1000) if i]
     text = "\n".join(["FPUOP 1", "period 1", "band 0", "patch-radius 1000",
                       "bg 0 0 1 0", *lines, *centre, "END"])
-    tracemalloc.start()
-    try:
-        op = parse_operator_text(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    op, peak = traced_peak(lambda: parse_operator_text(text))
     assert op.patch_radius == 1
     assert op.patch == ({(-1, -1): 1.0, (0, 0): -1.0} if centre else {(-1, -1): 1.0})
     assert peak < 8 * 2 ** 20
+
+
+def test_construction_and_adjoint_build_only_the_patch():
+    # the identity with -1 down a radius-600 patch diagonal: its dense patch
+    # takes 22 MB, and neither the parse nor the adjoint builds a second
+    # (1200, 1200) array to compare against the background or to shrink
+    lines = [f"patch {i} {i} -1 0" for i in range(-600, 600)]
+    text = "\n".join(["FPUOP 1", "period 1", "band 0", "patch-radius 600",
+                      "bg 0 0 1 0", *lines, "END"])
+    op, parse_peak = traced_peak(lambda: parse_operator_text(text))
+    star, adjoint_peak = traced_peak(op.adjoint)
+    assert op.patch_radius == star.patch_radius == 600
+    assert star.patch == op.patch and star.background == op.background
+    assert parse_peak < 32 * 2 ** 20 and adjoint_peak < 32 * 2 ** 20
 
 
 @pytest.mark.parametrize("left_out", [-2, 1])
@@ -694,6 +712,18 @@ def test_left_out_cells_are_explicit_zeros(case, data):
     rings = [max(i + 1, -i, j + 1, -j) for i, j in cells
              if abs(given_cells.get((i, j), 0) - bg.entry(i, j)) > 1e-12]
     assert op.patch_radius == max(rings, default=0)
+
+
+@given(storage_operators())
+@settings(max_examples=80)
+def test_adjoint_serializes_as_mapping_built(op):
+    # the transposed patch is already minimal: the adjoint keeps the radius
+    # that the mapping path's shrink finds
+    star = op.adjoint()
+    transposed = {(j, i): v.conjugate() for (i, j), v in op.patch.items()}
+    built = EndPeriodicOperator(star.background, op.patch_radius, transposed)
+    assert serialize_operator(star) == serialize_operator(built)
+    assert star.patch_radius == op.patch_radius
 
 
 @given(storage_operators())

@@ -3,7 +3,7 @@ shift-coinvariant algebra.  Expected values are frozen from unrolling the
 defining formulas by hand; window checks compare against direct evaluation."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fpu.errors import ValidationError
@@ -280,6 +280,23 @@ def test_quotient_soundness(a, x):
 def test_coinv_equal_examples():
     assert coinv_equal(delta(), ZERO)
     assert not coinv_equal(constant(1), ZERO)
+
+
+@given(seqs(), seqs(), st.booleans())
+@settings(max_examples=100)
+def test_coinv_equal_is_membership_of_the_difference(a, x, same_class):
+    # tails of unequal lengths, from one class when same_class
+    b = a.add(x.one_minus_s()) if same_class else x
+    assume(len(a.left) != len(b.left) or len(a.right) != len(b.right))
+    member = in_image_one_minus_s(a.sub(b)).member
+    assert coinv_equal(a, b) == coinv_equal(b, a) == member
+
+
+def test_coinv_equal_reads_only_the_tails():
+    # a difference built index by index would span the 10**15 between the cores
+    far = EventuallyPeriodicSeq([0], 10 ** 15, [5, -5], [0])
+    assert coinv_equal(far, delta()) and not coinv_equal(far, constant(1))
+    assert coinv_equal(delta(10 ** 15), delta(-2, 1))
 
 
 @given(seqs())
