@@ -23,11 +23,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .matutil import haar_unitary, polar_unitary, unitary_defect
-from .operators import (CHECK_TOL, Operator, PeriodicBandOperator, _patched,
-                        _product_residual, block_diagonal, delta_embed, embed_finite,
-                        identity, make_shift, multiply, propagation, require_unitary,
-                        window)
+from .matutil import haar_unitary, polar_unitary
+from .operators import (CHECK_TOL, ZERO_TOL, Operator, PeriodicBandOperator, _excess,
+                        _patched, _product_residual, block_diagonal, delta_embed,
+                        embed_finite, identity, make_shift, multiply, propagation,
+                        require_unitary, window)
 
 # default acceptance tolerance on the index integer deviation
 INDEX_TOL = 1e-6
@@ -70,7 +70,15 @@ class EndPeriodicSplit:
 
 def index(op: Operator, tol: float = INDEX_TOL) -> IndexReport:
     """Index from the corner sums; raises NumericalError unless the raw value
-    lies within tol of an integer and of the trace of P - U* P U."""
+    lies within tol of an integer and of the trace of P - U* P U, and then
+    unless op is unitary within tol."""
+    report = _corner_index(op, tol)
+    require_unitary(op, tol)
+    return report
+
+
+def _corner_index(op: Operator, tol: float) -> IndexReport:
+    """index without its unitarity check, for a caller that has made it."""
     # nonzero entries have |i - j| <= k: U(-,+) lies in rows [-k, 0) x columns
     # [0, k), and U(+,-) in the corner u[:k, :k] of the trace window u
     k = max(op.prop_bound(), 1)
@@ -142,29 +150,24 @@ def _block_scale(op: Operator) -> int:
     return -(-max(propagation(op), op.patch_radius, 1) // step) * step
 
 
-def _pattern_leakage(op: Operator, block: int) -> float:
-    """Largest entry magnitude outside the block-diagonal pattern aligned at 0.
-
-    Rows [-R, R) hold the patch and rows [R, R + block) are background rows
-    covering every residue mod block, a multiple of the period by
-    _block_scale, so together they witness every entry.
-    """
-    radius = op.patch_radius
-    rows = np.arange(-radius, radius + block)[:, None]
-    cols = rows + np.arange(-op.prop_bound(), op.prop_bound() + 1)
-    leaks = np.abs(window(op, rows, cols))[cols // block != rows // block]
-    return float(leaks.max(initial=0.0))
-
-
-def _snap_block(m: np.ndarray) -> np.ndarray:
-    """Project a nearly unitary block onto the unitary group; reject junk."""
-    defect = unitary_defect(m)
-    if defect <= SNAP_TOL:
-        return m
+def _snap_block(m: np.ndarray):
+    """Project a nearly unitary block onto the unitary group; reject junk.
+    Returns the block and the Frobenius norm of its m* m - I, which equals
+    that of m m* - I and bounds every entry of both."""
+    defect = float(np.max(np.abs(gram := m.conj().T @ m - np.eye(len(m)))))
     if defect > HARD_TOL:
         raise NumericalError(
             f"extracted block is far from unitary (defect {defect:.3e})")
-    return polar_unitary(m)
+    if defect > SNAP_TOL:
+        m = polar_unitary(m)
+        gram = m.conj().T @ m - np.eye(len(m))
+    return m, float(np.linalg.norm(gram))
+
+
+def _tiles(op: Operator, rows, cols, size: int) -> np.ndarray:
+    """The size x size tiles of op whose first cells are (rows, cols), broadcast."""
+    i, rows, cols = np.arange(size), np.asarray(rows)[..., None, None], np.asarray(cols)
+    return window(op, rows + i[:, None], cols[..., None, None] + i)
 
 
 def decompose(op: Operator, tol: float = CHECK_TOL) -> DecompositionResult:
@@ -176,8 +179,7 @@ def decompose(op: Operator, tol: float = CHECK_TOL) -> DecompositionResult:
     or the unitary defect of a block of V or W exceeds tol.
     """
     require_unitary(op, HARD_TOL)
-    report = index(op)
-    if report.rounded != 0:
+    if _corner_index(op, INDEX_TOL).rounded != 0:
         raise NumericalError("nonzero index")
 
     half = _block_scale(op)
@@ -185,32 +187,48 @@ def decompose(op: Operator, tol: float = CHECK_TOL) -> DecompositionResult:
     # W's eigenvector blocks: the background's tile the grid offset by -half,
     # and an end-periodic op replaces the block over its patch
     bg = op.background
-    w_bg = conjugating_unitary(_projection_window(bg, half), half).conj().T
-    w_central = ({} if op is bg else
-                 {0: conjugating_unitary(_projection_window(op, half), half).conj().T})
+    w_blocks, w_norms = zip(*(
+        _snap_block(conjugating_unitary(_projection_window(u, half), half).conj().T)
+        for u in ([bg] if op is bg else [bg, op])))
+    w_bg, w_central = w_blocks[0], dict(zip([0], w_blocks[1:]))
     w_op = block_diagonal(-half, w_bg, central=w_central)
 
-    v_raw = multiply(op, w_op.adjoint())
-    leakage = _pattern_leakage(v_raw, block)
+    # half >= propagation, so block-row m of U, of V = U W* and of VW lies on
+    # W's blocks m and m + 1; half >= R and period | block, so all three are
+    # their backgrounds outside block-rows -1 and 0, and block-row 1 is one
+    rows = [0] if op is bg else [-1, 0, 1]
+    starts = np.array(rows) * block
+    cols = starts[:, None] - half + np.array([0, block])  # W's blocks m and m + 1
+    v_raw = _tiles(op, starts[:, None], cols, block)  # read before W*'s stack, as large
+    v_raw = v_raw @ np.array([[w_central.get(m + k, w_bg) for k in range(2)]
+                              for m in rows]).conj().swapaxes(-1, -2)
+    v_raw[np.abs(v_raw) <= ZERO_TOL] = 0  # as a built product stores them
+    # V's block m is the middle b columns of block-row m, and the rest leaks
+    leakage = float(max(np.abs(v_raw[:, 0, :, :half]).max(),
+                        np.abs(v_raw[:, 1, :, half:]).max()))
     if leakage > tol:
         raise NumericalError(
             f"off-block leakage {leakage:.3e} exceeds tolerance {tol:.3e}")
+    v_blocks = np.concatenate([v_raw[:, 0, :, half:], v_raw[:, 1, :, :half]], axis=2)
+    del v_raw  # free the largest arrays before v_op and the residual are built
+    v_blocks, norms = zip(*map(_snap_block, v_blocks))
+    v_op = block_diagonal(0, v_blocks[-1], central=dict(zip(rows[:-1], v_blocks)))
+    del v_blocks
 
-    idx = np.arange(block)
-    v_bg = _snap_block(window(v_raw.background, idx[:, None], idx))
-    radius = v_raw.patch_radius
-    v_central = {m: _snap_block(window(v_raw, idx[:, None] + m * block, idx + m * block))
-                 for m in range((-radius) // block, -((-radius) // block))}
-    v_op = block_diagonal(0, v_bg, central=v_central)
-
-    residual = _product_residual(v_op, w_op, op)
+    # VW's block-row m is V's block m times W's rows [m b, (m+1) b): the
+    # lower half of W's block m and the upper half of its block m + 1
+    v, w = _tiles(v_op, starts, starts, block), _tiles(w_op, cols, cols, block)
+    vw = np.empty((len(rows), 2, block, block), dtype=complex)
+    np.matmul(v[:, :, :half], w[:, 0, half:], out=vw[:, 0])
+    np.matmul(v[:, :, half:], w[:, 1, :half], out=vw[:, 1])
+    del v, w
+    residual = _excess(vw, _tiles(op, starts[:, None], cols, block))
     if residual > tol:
         raise NumericalError(
             f"reconstruction residual {residual:.3e} exceeds tolerance {tol:.3e}")
-    # both factors are block diagonal, so |VV* - I| and |V*V - I| are the
-    # largest defects of their distinct blocks and of those blocks' adjoints
-    blocks = [w_bg, *w_central.values(), v_bg, *v_central.values()]
-    res = max(unitary_defect(m) for b in blocks for m in (b, b.conj().T))
+    # both factors are block diagonal, so |VV* - I| and |V*V - I| are at most
+    # the largest Frobenius defect of their distinct blocks
+    res = max(*norms, *w_norms)
     if res > tol:
         raise NumericalError(
             f"factor unitarity residual {res:.3e} exceeds tolerance {tol:.3e}")

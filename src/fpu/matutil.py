@@ -26,9 +26,3 @@ def polar_unitary(m: np.ndarray) -> np.ndarray:
     u, _, vh = np.linalg.svd(np.asarray(m, dtype=complex))
     return u @ vh
 
-
-def unitary_defect(m: np.ndarray) -> float:
-    """max |(m* m - I)_{ij}|, zero exactly for unitary m."""
-    m = np.asarray(m, dtype=complex)
-    eye = np.eye(m.shape[0])
-    return float(np.max(np.abs(m.conj().T @ m - eye)))

@@ -344,16 +344,26 @@ def block_diagonal(k: int, repeating: np.ndarray,
     bg = delta_embed(repeating, k)
     if not central:
         return bg
-    size = bg.period
-    radius = max(1, *(max(-k - n * size, k + (n + 1) * size) for n in map(int, central)))
-    cells = np.arange(-radius, radius)
-    dense = window(bg, cells[:, None], cells)
-    for n, m in central.items():
+    # a cell off the central blocks is the background's: compare only theirs
+    size, idx, blocks = bg.period, np.arange(bg.period), []
+    stored = window(bg, k + idx[:, None], k + idx)
+    for n, m in sorted(central.items(), key=lambda item: int(item[0])):
         if np.shape(m) != (size, size):
             raise ValidationError(f"central block {n} is not {size}x{size}")
-        base = k + int(n) * size + radius
-        dense[base:base + size, base:base + size] = m
-    return _patched(bg, dense)
+        m = np.where(_validated(m := np.asarray(m, dtype=complex)), m, 0)
+        differs, start = np.abs(m - stored) > ZERO_TOL, k + int(n) * size
+        rings = np.maximum(start + idx + 1, -start - idx)[differs.any(0) | differs.any(1)]
+        blocks.append((start, m, int(rings.max(initial=0))))
+    radius = max(ring for *_, ring in blocks)
+    if not radius:
+        return bg
+    cells = np.arange(-radius, radius)
+    dense = window(bg, cells[:, None], cells)
+    for start, m, _ in blocks:  # the cells of each block inside the square
+        lo, hi = (min(max(end - start, 0), size) for end in (-radius, radius))
+        part = slice(start + radius + lo, start + radius + hi)
+        dense[part, part] = m[lo:hi, lo:hi]
+    return _new(EndPeriodicOperator, bg, radius, dense)
 
 
 def embed_finite(matrix: np.ndarray) -> Operator:

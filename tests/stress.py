@@ -1,6 +1,6 @@
 """Stress files for the operator commands, timed in fresh interpreters.
 
-Write five large operator files and time the commands that read them, each run
+Write six large operator files and time the commands that read them, each run
 in a new interpreter through `run_command`, with each given source tree on
 PYTHONPATH in turn:
 
@@ -17,10 +17,14 @@ The files:
     corner-300      the same corner patch over the identity
     diag-600        the identity with -1 down a radius-600 patch diagonal
     S^1000          the shift bg 0 1000 1.0 0.0
+    dense-120       synth_random(0, 1, 120, 60, seed=0): a dense Haar
+                    background of period 120 and reach 119 under a
+                    radius-60 patch, decomposed on blocks of 240
 
-`check` runs on all five, `decompose` and `factor` on corner-300, `factor` on
-phase-1500+R300, `index` on diag-600 and `adjoint -o` on diag-600 and
-corner-300, its output file removed before each run.  For each command and
+`check` runs on the first five, `decompose` on corner-300 and dense-120,
+`factor` on corner-300 and phase-1500+R300, `index` on diag-600 and
+`adjoint -o` on diag-600 and corner-300, its output file removed before each
+run.  For each command and
 tree the table shows the median wall seconds and `ru_maxrss` MB of 3 runs, and
 with --traced the tracemalloc peak MB of one more run.  Not collected by pytest.
 """
@@ -35,6 +39,10 @@ import sys
 import tempfile
 
 import numpy as np
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+from fpu.cli import serialize_operator  # noqa: E402  (writes dense-120)
+from fpu.gnvw import synth_random  # noqa: E402
 
 # one run: prints [seconds, ru_maxrss MB, tracemalloc peak MB or null, exit code]
 CHILD = """
@@ -53,6 +61,7 @@ print(json.dumps([seconds, rss, peak, result.exit_code]))
 
 RUNS = [("check", "phase-1500"), ("check", "phase-1500+R300"), ("check", "corner-300"),
         ("check", "diag-600"), ("check", "S^1000"), ("decompose", "corner-300"),
+        ("decompose", "dense-120"),
         ("factor", "corner-300"), ("factor", "phase-1500+R300"), ("index", "diag-600"),
         ("adjoint", "diag-600"), ("adjoint", "corner-300")]
 
@@ -78,7 +87,7 @@ def _corners(radius, diagonal):
 
 
 def files():
-    """The five stress files, name -> text."""
+    """The six stress files, name -> text."""
     phases = np.exp(2j * np.pi * np.random.default_rng(0).random(1500))
     phase_bg = [(i, 0, complex(v)) for i, v in enumerate(phases)]
     one = [(0, 0, 1 + 0j)]
@@ -89,6 +98,7 @@ def files():
         "corner-300": _operator(1, 0, one, 300, _corners(300, lambda i: 1 + 0j)),
         "diag-600": _operator(1, 0, one, 600, [(i, i, -1 + 0j) for i in range(-600, 600)]),
         "S^1000": _operator(1, 1000, [(0, 1000, 1 + 0j)]),
+        "dense-120": serialize_operator(synth_random(0, 1, 120, 60, seed=0)),
     }
 
 

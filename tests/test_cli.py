@@ -232,6 +232,19 @@ def test_index_window_covers_a_non_unitary_patch(tmp_path):
     assert "trace check" in result.stderr
 
 
+@pytest.mark.parametrize("patch, residual", [
+    ("patch -1 -1 1.0 0.0\npatch -1 0 1.0 0.0", "1.000e+00"),  # was: index 1, exit 0
+    ("patch -1 -1 0.5 0.0\npatch 0 0 1.0 0.0", "7.500e-01"),  # was: index 0, exit 0
+])
+def test_index_rejects_a_non_unitary_operator(tmp_path, patch, residual):
+    # the trace check sees only the columns j >= 0, and their norms in sum
+    path = tmp_path / "u.op"
+    path.write_text(f"FPUOP 1\nperiod 1\nband 0\npatch-radius 1\nbg 0 0 1.0 0.0\n{patch}\nEND\n")
+    result = run_command(["op", "index", str(path)])
+    assert result.exit_code == 2
+    assert f"operator is not unitary: residual {residual} > 1.000e-06" in result.stderr
+
+
 @pytest.mark.parametrize("command, line", [("check", "unitary true"),
                                            ("index", "index 1")])
 def test_declared_band_sets_no_cost(tmp_path, command, line):

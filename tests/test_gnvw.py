@@ -4,21 +4,35 @@ factors is asserted structurally, never through specific matrix entries."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpu import gnvw
 from fpu.errors import NumericalError, ValidationError
-from fpu.gnvw import (SNAP_TOL, _pattern_leakage, conjugating_unitary, decompose,
+from fpu.gnvw import (SNAP_TOL, _snap_block, conjugating_unitary, decompose,
                       factor_end_periodic, index, retract_periodic, synth_random)
-from fpu.matutil import haar_unitary, polar_unitary, unitary_defect
-from fpu.operators import (EndPeriodicOperator, PeriodicBandOperator,
+from fpu.matutil import haar_unitary, polar_unitary
+from fpu.operators import (EndPeriodicOperator, PeriodicBandOperator, _product_residual,
                            block_diagonal, delta_embed, embed_finite, identity,
                            make_shift, max_entry_difference, multiply,
                            propagation, unitarity_residual, window)
 
 from conftest import dense_window
-from test_operators import random_storage_operator
 
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def unitary_defect(m):
+    """max |(m* m - I)_ij|, zero exactly for unitary m."""
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(len(m)))))
+
+
+def scaled_largest_patch_cell(op, factor):
+    """op with its largest patch cell multiplied by factor."""
+    patch = dict(op.patch)
+    cell = max(patch, key=lambda key: abs(patch[key]))
+    patch[cell] *= factor
+    return EndPeriodicOperator(op.background, op.patch_radius, patch)
 
 
 def in_block_pattern(op, block, offset):
@@ -97,6 +111,17 @@ def test_index_rejects_corrupted_input():
     half = PeriodicBandOperator(1, 1, {(0, 1): 0.5})
     with pytest.raises(NumericalError):
         index(half)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), target=st.integers(-2, 2),
+       period=st.integers(1, 3), block=st.integers(1, 3), patch_blocks=st.integers(1, 2))
+@settings(max_examples=40, deadline=None)
+def test_index_rejects_a_scaled_patch_cell(seed, target, period, block, patch_blocks):
+    # the corner sums and the trace check may still read an integer; the
+    # unitarity gate does not
+    op = synth_random(target, period, block, patch_blocks, seed=seed)
+    with pytest.raises(NumericalError):
+        index(scaled_largest_patch_cell(op, 1 + 1e-3))
 
 
 # -- window conjugation -----------------------------------------------------------
@@ -238,20 +263,59 @@ def test_decompose_uses_the_smallest_block_grid():
             check_decomposition(op, result)
 
 
-@pytest.mark.parametrize("end_periodic", [False, True])
-def test_pattern_leakage_matches_scalar_oracle(rng, end_periodic):
-    for _ in range(12):
-        op = random_storage_operator(rng, end_periodic)
-        radius, reach = getattr(op, "patch_radius", 0), op.prop_bound()
-        for periods in (1, 2, 6):
-            block = periods * op.period
-            # rows two blocks beyond the patch on each side, every column they reach
-            lo, hi = -radius - 2 * block, radius + 2 * block
-            dense = dense_window(op, lo - reach, hi + reach)[reach:reach + hi - lo]
-            cells = np.arange(lo - reach, hi + reach)
-            off = cells[None, :] // block != np.arange(lo, hi)[:, None] // block
-            expected = float(np.abs(dense[off]).max(initial=0.0))
-            assert _pattern_leakage(op, block) == expected
+def block_row_cases():
+    """(u, decompose(u)) over seeded periodic and end-periodic synth_random
+    operators decomposing on blocks of 2 to 12; each end-periodic one comes
+    again with its largest patch cell scaled by 1 + 1e-8, which leaks and is
+    snapped, decomposed at tol 1e-6."""
+    rng, cases = np.random.default_rng(16), []
+    while len(cases) < 24:
+        u = synth_random(0, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                         int(rng.integers(0, 3)), seed=int(rng.integers(0, 2 ** 32)))
+        result = decompose(u)
+        if 2 <= result.block_size <= 12:
+            cases.append((u, result))
+            if u.patch_radius:
+                bad = scaled_largest_patch_cell(u, 1 + 1e-8)
+                cases.append((bad, decompose(bad, 1e-6)))
+    return cases
+
+
+def test_decompose_residual_matches_the_product_residual():
+    # decompose reads VW - U on block-rows -1, 0 and 1 alone; the general
+    # residual reads the whole patch square and one background period
+    cases = block_row_cases()
+    assert any(u.patch_radius for u, _ in cases) and any(not u.patch_radius for u, _ in cases)
+    for u, result in cases:
+        assert abs(result.residual - _product_residual(result.v, result.w, u)) <= 4e-16
+
+
+def test_block_leakage_is_the_largest_off_block_entry_of_u_w_star():
+    leaks = []
+    for u, result in block_row_cases():
+        block, product = result.block_size, multiply(u, result.w.adjoint())
+        # rows two blocks beyond the patch on each side, every column they reach
+        radius, reach = product.patch_radius, product.prop_bound()
+        lo, hi = -radius - 2 * block, radius + 2 * block
+        dense = dense_window(product, lo - reach, hi + reach)[reach:reach + hi - lo]
+        off = np.arange(lo - reach, hi + reach) // block != np.arange(lo, hi)[:, None] // block
+        expected = float(np.abs(dense[off]).max(initial=0.0))
+        assert abs(result.block_leakage - expected) <= 4e-16
+        leaks.append(expected)
+    assert max(leaks) > 1e-9 and min(leaks) == 0.0
+
+
+def test_snap_block_returns_the_frobenius_defect_of_its_block(rng):
+    m = haar_unitary(6, rng)
+    kept, norm = _snap_block(m)
+    assert kept is m
+    assert norm == np.linalg.norm(m.conj().T @ m - np.eye(6))
+    snapped, norm = _snap_block(m * (1 + 1e-9))
+    assert unitary_defect(m * (1 + 1e-9)) > SNAP_TOL
+    assert np.array_equal(snapped, polar_unitary(m * (1 + 1e-9)))
+    assert norm == np.linalg.norm(snapped.conj().T @ snapped - np.eye(6))
+    with pytest.raises(NumericalError, match="far from unitary"):
+        _snap_block(m * (1 + 1e-3))
 
 
 def test_decompose_wrapped_periodic_matches_periodic(rng):

@@ -17,7 +17,7 @@ from fpu.operators import (EndPeriodicOperator, PeriodicBandOperator,
                            embed_finite, identity, make_shift,
                            max_entry_difference, multiply, propagation,
                            unitarity_residual, window)
-from fpu.operators import _product_residual
+from fpu.operators import _patched, _product_residual
 
 from conftest import dense_window
 
@@ -129,6 +129,34 @@ def test_block_diagonal_central_blocks():
     assert isinstance(op, EndPeriodicOperator)
     assert op.entry(0, 1) == 1.0 and op.entry(4, 5) == 0.0
     assert unitarity_residual(op) <= 1e-12
+
+
+def test_block_diagonal_matches_shrinking_its_dense_square(rng):
+    # the oracle writes every central block into the background's dense square
+    # and shrinks it against the whole square; block_diagonal compares the
+    # central blocks alone.  Blocks agree with the repeating one on some
+    # cells, within ZERO_TOL on some, and hold values at or below it
+    for _ in range(300):
+        size, k = int(rng.integers(1, 5)), int(rng.integers(-5, 5))
+        repeating = haar_unitary(size, rng)
+        central = {}
+        for n in rng.choice(np.arange(-3, 4), size=int(rng.integers(1, 4)), replace=False):
+            m = haar_unitary(size, rng)
+            same = rng.random((size, size)) < 0.6
+            m[same] = repeating[same] + (rng.random() < 0.5) * 1e-13
+            m[rng.random((size, size)) < 0.1] = 1e-13
+            central[int(n)] = m
+        bg = delta_embed(repeating, k)
+        radius = max(max(-k - n * size, k + (n + 1) * size) for n in central)
+        cells = np.arange(-radius, radius)
+        dense = window(bg, cells[:, None], cells)
+        for n, m in central.items():
+            start = k + n * size + radius
+            dense[start:start + size, start:start + size] = m
+        expected = _patched(bg, dense)
+        op = block_diagonal(k, repeating, central)
+        assert op.patch_radius == expected.patch_radius
+        assert serialize_operator(op) == serialize_operator(expected)
 
 
 def test_embed_finite_placement():
