@@ -79,11 +79,11 @@ def index(op: Operator, tol: float = INDEX_TOL) -> IndexReport:
 
 def _corner_index(op: Operator, tol: float) -> IndexReport:
     """index without its unitarity check, for a caller that has made it."""
-    # nonzero entries have |i - j| <= k: U(-,+) lies in rows [-k, 0) x columns
-    # [0, k), and U(+,-) in the corner u[:k, :k] of the trace window u
+    # nonzero entries have |i - j| <= k: rows [-k, 2k) x columns [-k, k) hold U(-,+)
+    # in rows [-k, 0) x columns [0, k) and the trace window u, whose u[:k, :k] is U(+,-)
     k = max(op.prop_bound(), 1)
-    u = window(op, np.arange(2 * k)[:, None], np.arange(-k, k))
-    minus_plus = window(op, np.arange(-k, 0)[:, None], np.arange(k))
+    rows = window(op, np.arange(-k, 2 * k)[:, None], np.arange(-k, k))
+    minus_plus, u = rows[:k, k:], rows[k:]
     hs_mp, hs_pm = (float(np.sum(np.abs(c) ** 2)) for c in (minus_plus, u[:k, :k]))
     raw = hs_mp - hs_pm
     if not np.isfinite(raw):  # squares of finite entries can overflow

@@ -21,14 +21,10 @@ from .errors import ValidationError
 
 
 def _minimal_period(word: tuple[int, ...]) -> int:
-    """Smallest divisor d of len(word) such that word repeats its first d values."""
-    n = len(word)
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        if all(word[i] == word[i % d] for i in range(n)):
-            return d
-    return n
+    """Smallest d >= 1 that leaves word unchanged by rotation.  Such a d divides
+    len(word), and testing divisors alone keeps a long aperiodic word linear."""
+    return next(d for d in range(1, len(word) + 1)
+                if len(word) % d == 0 and word[d:] + word[:d] == word)
 
 
 class EventuallyPeriodicSeq:
@@ -161,15 +157,12 @@ class EventuallyPeriodicSeq:
 # -- canonicalization -------------------------------------------------------
 
 def _canonicalize(left, offset, core, right):
-    """Reduce to the canonical representation described on the class.
-
-    The canonical data is intrinsic to the function j -> a_j: minimal tail
-    periods, then the unique maximal agreement of a with its two periodic
-    continuations, and a clamped boundary when the core is empty.
-    """
+    """Reduce to the canonical representation described on the class, which is
+    intrinsic to j -> a_j: minimal tail periods, the maximal agreement of a with
+    its two periodic continuations, and a clamped boundary for an empty core."""
     end = offset + len(core)
-    dl = _minimal_period(left)
-    dr = _minimal_period(right)
+    dl, dr = _minimal_period(left), _minimal_period(right)
+    m = lcm(dl, dr)
 
     def raw(j):
         if j >= end:
@@ -178,44 +171,19 @@ def _canonicalize(left, offset, core, right):
             return core[j - offset]
         return left[(j - offset) % len(left)]
 
-    def rcont(j):  # right-periodic continuation, valid for every j
-        return right[(j - end) % dr]
-
-    def lcont(j):  # left-periodic continuation
-        return left[(j - offset) % dl]
-
-    m = lcm(dl, dr)
-
-    # largest suffix [h_min, inf) on which a agrees with its right continuation
-    j = end - 1
-    while j >= offset - m and raw(j) == rcont(j):
-        j -= 1
-    h_min = None if j < offset - m else j + 1
-
-    # largest prefix (-inf, lo_max) on which a agrees with its left continuation
-    j = offset
-    while j <= end - 1 + m and raw(j) == lcont(j):
-        j += 1
-    lo_max = None if j > end - 1 + m else j
-
-    if h_min is None or lo_max is None:
-        # globally periodic; both tails describe the same sequence
-        d = min(dl, dr)
-        lf = tuple(rcont(j) for j in range(-d, 0))
-        rt = tuple(rcont(j) for j in range(0, d))
-        return lf, 0, (), rt
-
-    if lo_max >= h_min:
-        t = min(max(h_min, 0), lo_max)
-        lf = tuple(raw(j) for j in range(t - dl, t))
-        rt = tuple(raw(j) for j in range(t, t + dr))
-        return lf, t, (), rt
-
-    cl, ch = lo_max, h_min
-    lf = tuple(raw(j) for j in range(cl - dl, cl))
-    co = tuple(raw(j) for j in range(cl, ch))
-    rt = tuple(raw(j) for j in range(ch, ch + dr))
-    return lf, cl, co, rt
+    # a agrees with its right continuation on [h, inf), its left one on (-inf, l);
+    # scanned indices agree already, so a's shift by a period stands in for each
+    h, l = end, offset
+    while h > offset - m and raw(h - 1) == raw(h - 1 + dr):
+        h -= 1
+    while l < end + m and raw(l) == raw(l - dl):
+        l += 1
+    if h == offset - m:  # the m indices below the core agree too: a is periodic
+        h = l = 0
+    if l >= h:  # empty core: pin the tail boundary toward index 0
+        l = h = min(max(h, 0), l)
+    return (tuple(raw(j) for j in range(l - dl, l)), l,
+            tuple(raw(j) for j in range(l, h)), tuple(raw(j) for j in range(h, h + dr)))
 
 
 def from_window(value_at: Callable[[int], int], lo: int, hi: int,

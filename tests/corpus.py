@@ -9,7 +9,9 @@ The corpus synthesizes 72 operators with `op synth` and runs `index`, `check`,
 `adjoint`, `apply --delta 1`, `apply --amp` (see `_amplitudes`), `decompose`,
 `factor`, `retract` and `mul` (with the next operator, both orders) on each;
 then it writes 60 sequences and runs `member`, `divide`, `equal`, `blocksum`,
-`reduce3`, `alpha` and `add` on them.
+`reduce3`, `alpha` and `add` on them.  Last come 25 sequence files written
+in non-canonical forms (see `_form_files`), each printed through `shift 0`,
+shifted and added to the next one.
 Each run is recorded with its exit code, stdout, stderr and the files it
 wrote.  The comparison prints, per command, how many runs are byte-identical,
 how many exit codes differ, how many outputs differ in more than numbers (a
@@ -32,6 +34,7 @@ import numpy as np
 
 OPERATORS = 72
 SEQUENCES = 60
+FORMS = 25
 
 
 def _amplitudes(rng):
@@ -77,16 +80,18 @@ def _tail(rng, zero_sum):
     return values + [-sum(values)] if zero_sum else values
 
 
+def _seq_text(left, offset, core, right):
+    return (f"EPSEQ 1\nleft {' '.join(map(str, left))}\n"
+            f"core {' '.join(map(str, [offset, *core]))}\nright {' '.join(map(str, right))}\nEND\n")
+
+
 def _sequence_files(rng):
     """name -> text of each sequence; every other one has zero-sum tails."""
     files = {}
     for k in range(SEQUENCES):
         core = [int(v) for v in rng.integers(-3, 4, size=int(rng.integers(0, 6)))]
         left, right = _tail(rng, k % 2 == 0), _tail(rng, k % 2 == 0)
-        files[f"s{k}.seq"] = (
-            f"EPSEQ 1\nleft {' '.join(map(str, left))}\n"
-            f"core {' '.join(map(str, [int(rng.integers(-3, 4)), *core]))}\n"
-            f"right {' '.join(map(str, right))}\nEND\n")
+        files[f"s{k}.seq"] = _seq_text(left, int(rng.integers(-3, 4)), core, right)
     return files
 
 
@@ -105,12 +110,50 @@ def _sequence_runs(rng):
     return runs
 
 
+def _form_files(rng):
+    """name -> text of sequences that canonicalizing rewrites, by k % 5: tails
+    that repeat a shorter word, cores that continue the left and the right
+    tail, empty cores away from 0, and periodic sequences at offsets -5, 5."""
+    def word(size):
+        return [int(v) for v in rng.integers(-2, 3, size=size)]
+    files = {}
+    for k in range(FORMS):
+        left, right = word(int(rng.integers(1, 3))), word(int(rng.integers(1, 3)))
+        offset, core = int(rng.integers(-6, 7)), word(int(rng.integers(0, 3)))
+        if k % 5 == 0:
+            left, right = left * int(rng.integers(2, 4)), right * int(rng.integers(2, 4))
+        elif k % 5 == 1:
+            core = left * 2 + core
+        elif k % 5 == 2:
+            core = core + right * 2
+        elif k % 5 == 3:
+            offset, core = int(rng.choice([-1, 1])) * int(rng.integers(2, 7)), []
+        else:
+            offset, core = 5 * int(rng.choice([-1, 1])), left * 2
+            right = left * 2
+        files[f"f{k}.seq"] = _seq_text(left, offset, core, right)
+    return files
+
+
+def _form_runs(rng):
+    runs = []
+    for k in range(FORMS):
+        f, after = f"f{k}.seq", f"f{(k + 1) % FORMS}.seq"
+        runs += [["seq", "shift", f, "0"],
+                 ["seq", "shift", f, str(int(rng.integers(-6, 7)))],
+                 ["seq", "add", f, after]]
+    return runs
+
+
 def record(path):
     from fpu.cli import run_command
 
     rng = np.random.default_rng(7)
     runs, files = _operator_runs(rng), _sequence_files(rng)
     runs += _sequence_runs(rng)
+    forms = np.random.default_rng(9)  # its own generator leaves the runs above put
+    files.update(_form_files(forms))
+    runs += _form_runs(forms)
     records, home = [], os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)  # argv names files relative to the run directory

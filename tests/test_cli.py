@@ -163,6 +163,19 @@ def test_tol_zero_refuses_a_rounding_residual_as_non_unitary(tmp_path, command):
     assert result.stderr.endswith(" > 0.000e+00\n")
 
 
+def test_tol_zero_fails_decompose_on_its_reconstruction_residual(tmp_path):
+    # decompose holds its input to the fixed unitarity bound, not to --tol, so
+    # at --tol 0 the rounding of V W against U is the first gate to fail, exit 2
+    path = str(tmp_path / "u.op")
+    synth = run_command(["op", "synth", "--seed", "3", "--index", "0", "--period", "2",
+                         "--block", "2", "--patch-blocks", "1", "-o", path])
+    assert synth.exit_code == 0
+    result = run_command(["op", "decompose", path, "--tol", "0"])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: reconstruction residual ")
+    assert result.stderr.endswith(" exceeds tolerance 0.000e+00\n")
+
+
 PARSER_MESSAGES = [
     ("op", "period x\nband 0\nEND", "line 2: expected integer, got 'x'"),
     ("op", "period 1\nband 0\nbg 0 0 a 0\nEND", "line 4: expected number, got 'a'"),

@@ -150,6 +150,13 @@ def test_conjugating_unitary_rejects_non_projection():
         conjugating_unitary(0.5 * np.eye(2, dtype=complex), 1)
 
 
+def test_conjugating_unitary_rejects_a_wrong_shape_and_non_hermitian_window():
+    with pytest.raises(ValidationError, match="^window matrix must be 2x2$"):
+        conjugating_unitary(np.eye(3), 1)
+    with pytest.raises(NumericalError, match="^window matrix is not Hermitian$"):
+        conjugating_unitary(np.array([[0, 1], [0, 0]], dtype=complex), 1)
+
+
 # -- decomposition -------------------------------------------------------------------
 
 def check_decomposition(op, result, tol=1e-9):
@@ -425,6 +432,11 @@ def test_synth_deterministic():
 def test_synth_seed_required():
     with pytest.raises(ValidationError):
         synth_random(0, 1, 1, 0, seed=None)
+
+
+def test_synth_rejects_an_empty_period():
+    with pytest.raises(ValidationError):
+        synth_random(0, 0, seed=1)
 
 
 def test_synth_target_indices():

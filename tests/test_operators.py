@@ -179,6 +179,8 @@ def test_embed_finite_rejects_odd():
 def test_block_constructors_reject_bad_shapes():
     with pytest.raises(ValidationError):
         delta_embed(np.ones((2, 3)))
+    with pytest.raises(ValidationError, match="^matrix must be square$"):
+        embed_finite(np.ones((2, 3)))
     with pytest.raises(ValidationError):
         block_diagonal(0, np.eye(2), central={0: np.eye(3)})
 
@@ -212,6 +214,11 @@ def test_patch_interior_deviation_shrinks_to_its_ring():
 def test_patch_out_of_window_rejected():
     with pytest.raises(ValidationError):
         EndPeriodicOperator(identity(), 1, {(1, 0): 0.5})
+
+
+def test_negative_patch_radius_rejected():
+    with pytest.raises(ValidationError, match="^patch radius must be >= 0$"):
+        EndPeriodicOperator(identity(), -1, {})
 
 
 def test_indices_beyond_int64_fail_the_range_checks():

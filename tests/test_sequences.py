@@ -3,7 +3,7 @@ shift-coinvariant algebra.  Expected values are frozen from unrolling the
 defining formulas by hand; window checks compare against direct evaluation."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fpu.errors import ValidationError
@@ -23,6 +23,22 @@ def seqs(draw):
         draw(st.integers(-6, 6)),
         draw(st.lists(values, min_size=0, max_size=6)),
         draw(st.lists(values, min_size=1, max_size=4)))
+
+
+@st.composite
+def forms(draw):
+    """Raw (left, offset, core, right) data in forms the constructor rewrites:
+    tails that repeat a shorter word, cores that continue either tail, and a
+    right tail that starts like the left one, so the empty core's boundary has
+    room to move."""
+    small = st.integers(-2, 2)
+    word = draw(st.lists(small, min_size=1, max_size=3))
+    other = draw(st.one_of(st.lists(small, min_size=1, max_size=3),
+                           st.lists(small, max_size=2).map(lambda extra: word + extra)))
+    left, right = word * draw(st.integers(1, 3)), other * draw(st.integers(1, 3))
+    core = ((left * 6)[:draw(st.integers(0, 6))] + draw(st.lists(small, max_size=3))
+            + (right * 6)[6 * len(right) - draw(st.integers(0, 6)):])
+    return left, draw(st.integers(-6, 6)), core, right
 
 
 # -- evaluation and canonical form --------------------------------------------
@@ -84,6 +100,26 @@ def test_canonical_boundary_slide():
     assert slid_two == base
     assert seq_equal_on_window(slid_two, base)
     assert base.offset == 0 and base.core == ()
+
+
+@given(forms())
+@example(([1, 2], -1, [], [1, 2, 9]))  # both continuations agree on [-1, 1)
+@example(([0], 0, [1], [0]))
+@settings(max_examples=300)
+def test_canonical_form_picks_the_pinned_representative(form):
+    # minimal tails; a core that leaves both tails at its ends; an empty core's
+    # boundary as near 0 as the tails allow, and at 0 for a periodic sequence
+    a = EventuallyPeriodicSeq(*form)
+    left, core, right = a.left, a.core, a.right
+    for word in (left, right):
+        assert all(word[d:] + word[:d] != word for d in range(1, len(word)))
+    if core:
+        assert core[0] != left[0] and core[-1] != right[-1]
+    elif left == right:
+        assert a.offset == 0
+    else:
+        assert a.offset <= 0 or left[-1] != right[-1]
+        assert a.offset >= 0 or left[0] != right[0]
 
 
 # -- group operations ----------------------------------------------------------
@@ -323,6 +359,12 @@ def test_divide_zero():
 def test_divide_exact_multiple():
     w = divide_class(constant(6), 3)
     assert w.b == constant(2) and w.c == ZERO
+
+
+def test_exact_div_rejects_a_remainder():
+    assert constant(4).exact_div(2) == constant(2)
+    with pytest.raises(ValidationError, match="^sequence is not divisible by 2$"):
+        constant(3).exact_div(2)
 
 
 def test_divide_rejects_nonpositive():
