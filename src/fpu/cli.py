@@ -20,10 +20,10 @@ The lines between the header and END may come in any order.  The parsers
 check syntax only; the operator and sequence constructors check the values.
 
 Each subcommand is declared once, in _build_parser, with its arguments and
-its handler.  A handler prints its report keys and returns the operators or
-sequences it produces, which run_command writes to the -o paths or prints.
-Only index, check, decompose, retract and factor take --tol, a non-negative
-number.
+its handler; run_command parses with its own parser, found by its two words.
+A handler prints its report keys and returns the operators or sequences it
+produces, which run_command writes to the -o paths or prints.  Only index,
+check, decompose, retract and factor take --tol, a non-negative number.
 
 Exit codes: 0 success, 1 validation error (malformed input, bad arguments),
 2 numerical failure (non-unitary operator, nonzero index, tolerance breach)
@@ -77,9 +77,13 @@ def serialize_operator(op: Operator) -> str:
              f"period {op.period}",
              f"band {op.background.band}",
              f"patch-radius {op.patch_radius}"]
-    for key, cells in (("bg", op.background.entries), ("patch", op.patch)):
-        for (a, b), v in sorted(cells.items()):
-            lines.append(f"{key} {a} {b} {_fmt_float(v.real)} {_fmt_float(v.imag)}")
+    bg, r = op.background, op.patch_radius
+    for key, array, row0, col0 in (("bg", bg.diagonals, 0, -bg.reach - 1),
+                                   ("patch", op.dense_patch, -r, -r)):
+        a, b = np.nonzero(array)  # in row-major order, which is the sorted key order
+        v = array[a, b]
+        lines += map((key + " {} {} {!r} {!r}").format, (a + row0).tolist(),
+                     (b + col0).tolist(), v.real.tolist(), v.imag.tolist())
     lines.append("END")
     return "\n".join(lines) + "\n"
 
@@ -329,21 +333,21 @@ def _seq_divide(args, out: _Emitter):
     return witness.b, witness.c
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
     parser = _Parser(prog="fpu",
                      description="Command line interface and text file formats.")
     common = _Parser(add_help=False)
     common.add_argument("--porcelain", action="store_true",
                         help="machine-parseable one-value-per-line output")
     top = parser.add_subparsers(dest="group", required=True)
-    op = top.add_parser("op", help="operator commands").add_subparsers(
-        dest="command", required=True)
-    seq = top.add_parser("seq", help="sequence commands").add_subparsers(
-        dest="command", required=True)
+    groups = {group: top.add_parser(group, help=f"{kind} commands").add_subparsers(
+        dest="command", required=True) for group, kind in (("op", "operator"),
+                                                           ("seq", "sequence"))}
+    commands = {}  # (group, name) -> the subcommand's own parser, for run_command
 
     def command(group, name, run, *positionals, tol=None, outputs=()):
         """Declare a subcommand; a positional is a name or a (name, type) pair."""
-        sub = group.add_parser(name, parents=[common])
+        sub = commands[group, name] = groups[group].add_parser(name, parents=[common])
         sub.set_defaults(run=run)
         for spec in positionals:
             dest, kind = (spec, str) if isinstance(spec, str) else spec
@@ -356,55 +360,56 @@ def _build_parser() -> _Parser:
         return sub
 
     one = ("OUTPUT",)
-    command(op, "index", _op_index, "file", tol=gnvw.INDEX_TOL)
-    command(op, "check", _op_check, "file", tol=CHECK_TOL)
-    command(op, "mul", lambda args, out: (
+    command("op", "index", _op_index, "file", tol=gnvw.INDEX_TOL)
+    command("op", "check", _op_check, "file", tol=CHECK_TOL)
+    command("op", "mul", lambda args, out: (
         multiply(_load_operator(args.a), _load_operator(args.b)),),
         "a", "b", outputs=one)
-    command(op, "adjoint", lambda args, out: (_load_operator(args.file).adjoint(),),
+    command("op", "adjoint", lambda args, out: (_load_operator(args.file).adjoint(),),
             "file", outputs=one)
-    command(op, "decompose", _op_decompose, "file", tol=CHECK_TOL,
+    command("op", "decompose", _op_decompose, "file", tol=CHECK_TOL,
             outputs=("VOUT", "WOUT"))
-    command(op, "retract", lambda args, out: (
+    command("op", "retract", lambda args, out: (
         gnvw.retract_periodic(_load_operator(args.file), args.tol),),
         "file", tol=CHECK_TOL, outputs=one)
-    command(op, "factor", _op_factor, "file", tol=CHECK_TOL,
+    command("op", "factor", _op_factor, "file", tol=CHECK_TOL,
             outputs=("FINITE", "PERIODIC"))
-    sub = command(op, "synth", _op_synth, outputs=one)
+    sub = command("op", "synth", _op_synth, outputs=one)
     sub.add_argument("--seed", type=int, required=True)
     sub.add_argument("--index", type=int, default=0)
     sub.add_argument("--period", type=int, default=1)
     sub.add_argument("--block", type=int, default=1)
     sub.add_argument("--patch-blocks", type=int, default=0)
-    state = command(op, "apply", _op_apply, "file").add_mutually_exclusive_group()
+    state = command("op", "apply", _op_apply, "file").add_mutually_exclusive_group()
     state.add_argument("--delta", type=int, default=0,
                        help="apply to the basis state at this index")
     state.add_argument("--amp", nargs=3, action="append", default=None,
                        metavar=("J", "RE", "IM"))
 
-    command(seq, "shift", lambda args, out: (_load_seq(args.file).shift(args.k),),
+    command("seq", "shift", lambda args, out: (_load_seq(args.file).shift(args.k),),
             "file", ("k", int), outputs=one)
-    command(seq, "add", lambda args, out: (
+    command("seq", "add", lambda args, out: (
         _load_seq(args.a).add(_load_seq(args.b)),), "a", "b", outputs=one)
-    command(seq, "blocksum", lambda args, out: (
+    command("seq", "blocksum", lambda args, out: (
         _load_seq(args.file).block_sum(args.n),), "file", ("n", int), outputs=one)
-    command(seq, "reduce3", lambda args, out: (_load_seq(args.file).reduce3(),),
+    command("seq", "reduce3", lambda args, out: (_load_seq(args.file).reduce3(),),
             "file", outputs=one)
-    command(seq, "alpha", lambda args, out: sequences.alpha_map(_load_seq(args.file)),
+    command("seq", "alpha", lambda args, out: sequences.alpha_map(_load_seq(args.file)),
             "file", outputs=("FIRST", "SECOND"))
-    command(seq, "member", _seq_member, "file", outputs=("WITNESS",))
-    command(seq, "equal", _seq_equal, "a", "b")
-    command(seq, "divide", _seq_divide, "file", ("n", int), outputs=("B", "C"))
-    return parser
+    command("seq", "member", _seq_member, "file", outputs=("WITNESS",))
+    command("seq", "equal", _seq_equal, "a", "b")
+    command("seq", "divide", _seq_divide, "file", ("n", int), outputs=("B", "C"))
+    return parser, commands
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 
 def run_command(argv: Sequence[str]) -> CommandResult:
     out = _Emitter(porcelain=False)
     try:
-        args = _PARSER.parse_args(list(argv))
+        sub = _COMMANDS.get(tuple(argv[:2]))  # other argv: _PARSER's help and errors
+        args = sub.parse_args(list(argv[2:])) if sub else _PARSER.parse_args(list(argv))
         out = _Emitter(porcelain=args.porcelain)
         # an overflow surfaces as a non-finite value, which the handlers report
         with np.errstate(over="ignore", invalid="ignore"):

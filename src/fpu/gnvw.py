@@ -24,10 +24,10 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .matutil import haar_unitary, polar_unitary
-from .operators import (CHECK_TOL, ZERO_TOL, Operator, PeriodicBandOperator, _excess,
-                        _patched, _product_residual, block_diagonal, delta_embed,
-                        embed_finite, identity, make_shift, multiply, propagation,
-                        require_unitary, window)
+from .operators import (CHECK_TOL, ZERO_TOL, Operator, PeriodicBandOperator, _envelope,
+                        _excess, _patched, _product_residual, _rows_product,
+                        block_diagonal, delta_embed, embed_finite, identity, make_shift,
+                        multiply, propagation, require_unitary, window)
 
 # default acceptance tolerance on the index integer deviation
 INDEX_TOL = 1e-6
@@ -249,11 +249,11 @@ def factor_end_periodic(op: Operator, tol: float = CHECK_TOL) -> EndPeriodicSpli
     NumericalError unless op is unitary within tol, or when the split's
     reconstruction residual exceeds tol."""
     require_unitary(op, tol)
-    periodic_part = op.background
-    # op's residual reads op op* = B B* and op* op = B* B over a full period
-    # outside their patches, so raw's background is the identity within tol
-    raw = multiply(op, periodic_part.adjoint())
-    finite_part = _patched(identity(), raw.dense_patch)
+    periodic_part, star = op.background, op.background.adjoint()
+    # B B* is I within tol (op's residual), so op B* is I off its envelope's square
+    cells = np.arange(-(radius := _envelope(op, star)), radius)
+    finite_part = (_patched(identity(), _rows_product(op, star, cells, cells))
+                   if radius else identity())
 
     residual = _product_residual(finite_part, periodic_part, op)
     if residual > tol:

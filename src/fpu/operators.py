@@ -155,14 +155,14 @@ class PeriodicBandOperator(Operator):
         if band < 0:
             raise ValidationError("band must be >= 0")
         i, d, values = _mapping_cells(entries)
-        _validated(values, [
+        keep = _validated(values, [
             ((i < 0) | (i >= period),
              lambda k: f"row index {i[k]} outside [0, {period})"),
             (np.abs(d) > band, lambda k: f"band violation: |{d[k]}| > band {band}")])
-        h = int(np.abs(d).max(initial=0))
-        table = _zeros(period, 2 * h + 1)
-        table[i, d + h] = values
-        return _periodic(band, table)
+        reach = int(np.abs(d[keep]).max(initial=0))  # a dropped value sizes nothing
+        diagonals = _zeros(period, 2 * reach + 3)
+        diagonals[i[keep], d[keep] + reach + 1] = values[keep]
+        return _new(cls, period, band, diagonals)
 
     @property
     def reach(self) -> int:

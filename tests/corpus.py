@@ -11,14 +11,16 @@ The corpus synthesizes 72 operators with `op synth` and runs `index`, `check`,
 then it writes 60 sequences and runs `member`, `divide`, `equal`, `blocksum`,
 `reduce3`, `alpha` and `add` on them.  Last come 25 sequence files written
 in non-canonical forms (see `_form_files`), each printed through `shift 0`,
-shifted and added to the next one.
+shifted and added to the next one.  The corpus ends with argparse error and
+help runs (see `_argparse_runs`), run without an added `--porcelain`.
 Each run is recorded with its exit code, stdout, stderr and the files it
 wrote.  The comparison prints, per command, how many runs are byte-identical,
 how many exit codes differ, how many outputs differ in more than numbers (a
 `decompose` may pick another basis), how many runs wrote a file that differs,
 the largest difference between numbers that stand in the same place and the
 report keys whose values differ; then whether any written file differs.  It
-exits 1 when any run's exit code differs between the two records.
+exits 1 when any run's exit code differs between the two records.  A record
+of a shorter corpus compares with a longer one over the runs they share.
 `decompose` exits 0 only when its own leakage, reconstruction and block
 checks pass.  Not collected by pytest.
 """
@@ -145,6 +147,17 @@ def _form_runs(rng):
     return runs
 
 
+def _argparse_runs():
+    """argv lists that stop in argparse, for the direct subcommand parser and
+    the nested one: a missing positional, a bad int, a bad --tol, an extra
+    argument, -h, and argv that only the nested parser reads."""
+    return [["op", "index"], ["seq", "shift", "s0.seq", "one"],
+            ["op", "check", "u0.op", "--tol", "nan"], ["op", "index", "u0.op", "extra"],
+            ["op", "adjoint", "u0.op", "--tol", "0.5"], ["op", "synth", "-h"],
+            ["seq", "divide", "-h"], [], ["-h"], ["op"], ["op", "nope"],
+            ["--porcelain", "op", "index", "u0.op"]]
+
+
 def record(path):
     from fpu.cli import run_command
 
@@ -154,6 +167,7 @@ def record(path):
     forms = np.random.default_rng(9)  # its own generator leaves the runs above put
     files.update(_form_files(forms))
     runs += _form_runs(forms)
+    plain = _argparse_runs()
     records, home = [], os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)  # argv names files relative to the run directory
@@ -161,9 +175,10 @@ def record(path):
             for name, text in files.items():
                 with open(name, "w", encoding="utf-8") as handle:
                     handle.write(text)
-            for argv in runs:
+            for argv, sent in [(argv, [*argv, "--porcelain"]) for argv in runs] + [
+                    (argv, argv) for argv in plain]:
                 outputs = argv[argv.index("-o") + 1:] if "-o" in argv else []
-                result = run_command([*argv, "--porcelain"])
+                result = run_command(sent)
                 written = {}
                 for name in outputs:
                     if os.path.exists(name):
@@ -212,6 +227,8 @@ def compare(path_a, path_b):
         runs_a = json.load(handle)
     with open(path_b, encoding="utf-8") as handle:
         runs_b = json.load(handle)
+    shared = min(len(runs_a), len(runs_b))
+    runs_a, runs_b = runs_a[:shared], runs_b[:shared]
     if [r["argv"] for r in runs_a] != [r["argv"] for r in runs_b]:
         sys.exit("the two records hold different runs")
     # runs, identical, exit codes differing, differing in more than numbers,
@@ -236,6 +253,7 @@ def compare(path_a, path_b):
     for command, (total, same, exits, form, files, largest, keys) in stats.items():
         print(f"{command:<14} {total:>5} {same:>9} {exits:>12} {form:>12} {files:>12} "
               f"{largest:>9.2g}  {','.join(sorted(keys)) or '-'}")
+    print(f"runs compared: {shared}")
     files = sum(entry[4] for entry in stats.values())
     print(f"written files: {f'{files} runs differ' if files else 'all identical'}")
     return any(entry[2] for entry in stats.values())

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import fpu
 
+from fpu import cli
 from fpu.cli import (_PARSER, CommandResult, parse_operator_text, parse_seq_text,
                      run_command, serialize_operator, serialize_seq)
 from fpu.errors import ValidationError
@@ -597,6 +598,70 @@ def test_only_checking_commands_take_tol():
         else:
             with pytest.raises(ValidationError, match="unrecognized arguments"):
                 _PARSER.parse_args(argv + ["--tol", "0.5"])
+
+
+# -- direct subcommand dispatch ----------------------------------------------------
+
+# each subcommand's arguments after its two words: a valid argv, and the same
+# with a bad int for a subcommand that takes an int
+COMMAND_ARGV = {
+    ("op", "index"): (["shift1.op"], None),
+    ("op", "check"): (["rot.op"], None),
+    ("op", "mul"): (["shift1.op", "shiftneg2.op"], None),
+    ("op", "adjoint"): (["phase.op"], None),
+    ("op", "decompose"): (["mixedop.op"], None),
+    ("op", "retract"): (["endswap.op"], None),
+    ("op", "factor"): (["endswap.op"], None),
+    ("op", "synth"): (["--seed", "3", "--period", "2"], ["--seed", "3", "--period", "two"]),
+    ("op", "apply"): (["comp.op", "--delta", "1"], ["comp.op", "--delta", "one"]),
+    ("seq", "shift"): (["delta0.seq", "1"], ["delta0.seq", "one"]),
+    ("seq", "add"): (["delta0.seq", "const1.seq"], None),
+    ("seq", "blocksum"): (["alternating.seq", "2"], ["alternating.seq", "two"]),
+    ("seq", "reduce3"): (["mixed1.seq"], None),
+    ("seq", "alpha"): (["delta0.seq"], None),
+    ("seq", "member"): (["mixed2.seq"], None),
+    ("seq", "equal"): (["delta0.seq", "zero.seq"], None),
+    ("seq", "divide"): (["mixed1.seq", "3"], ["mixed1.seq", "three"]),
+}
+
+
+def test_each_subcommand_is_looked_up_by_its_two_words():
+    assert set(COMMAND_ARGV) == _declared_commands() == set(cli._COMMANDS)
+    for (group, name), parser in cli._COMMANDS.items():
+        assert parser.prog == f"fpu {group} {name}"
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGV), ids=" ".join)
+def test_direct_dispatch_matches_the_nested_parser(command, monkeypatch):
+    valid, bad_int = COMMAND_ARGV[command]
+    valid = resolve_argv(valid, FIXTURES)
+    cases = [valid, [], valid[:1], valid + ["--tol", "-1"], valid + ["--tol", "x"],
+             valid + ["extra"], ["-h"], valid + ["-h"], valid + ["--porcelain"]]
+    cases += [resolve_argv(bad_int, FIXTURES)] if bad_int else []
+    direct = [run_command([*command, *argv]) for argv in cases]
+    monkeypatch.setattr(cli, "_COMMANDS", {})  # every argv goes through _PARSER
+    assert [run_command([*command, *argv]) for argv in cases] == direct
+    # the valid argv runs, no arguments is an error, -h prints the command's usage
+    assert direct[0].exit_code == 0 and direct[-1].exit_code == (1 if bad_int else 0)
+    assert direct[1].exit_code == 1 and direct[6].stdout.startswith(
+        f"usage: fpu {' '.join(command)} ")
+
+
+@pytest.mark.parametrize("argv,code,stdout,stderr", [
+    ([], 1, "", "error: the following arguments are required: group\n"),
+    (["-h"], 0, "usage: fpu [-h] {op,seq} ...\n\nCommand line interface", ""),
+    (["op"], 1, "", "error: the following arguments are required: command\n"),
+    (["op", "nope"], 1, "", "error: argument command: invalid choice: 'nope' "),
+    (["--porcelain", "op", "index", "shift1.op"], 1, "",
+     "error: unrecognized arguments: --porcelain\n"),
+], ids=["empty", "help", "group-only", "unknown-command", "option-first"])
+def test_other_argv_keep_the_nested_parser_texts(argv, code, stdout, stderr):
+    result = run_command(resolve_argv(argv, FIXTURES))
+    assert result.exit_code == code
+    assert result.stdout.startswith(stdout) and result.stderr.startswith(stderr)
+    assert bool(result.stdout) == bool(stdout) and bool(result.stderr) == bool(stderr)
+    if argv == ["-h"]:
+        assert "operator commands" in result.stdout and "sequence commands" in result.stdout
 
 
 def test_index_shift_reports_one():

@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpu import gnvw
+from fpu.cli import serialize_operator
 from fpu.errors import NumericalError, ValidationError
 from fpu.gnvw import (SNAP_TOL, _snap_block, conjugating_unitary, decompose,
                       factor_end_periodic, index, retract_periodic, synth_random)
 from fpu.matutil import haar_unitary, polar_unitary
-from fpu.operators import (EndPeriodicOperator, PeriodicBandOperator, _product_residual,
-                           block_diagonal, delta_embed, embed_finite, identity,
-                           make_shift, max_entry_difference, multiply,
-                           propagation, unitarity_residual, window)
+from fpu.operators import (EndPeriodicOperator, PeriodicBandOperator, _patched,
+                           _product_residual, block_diagonal, delta_embed,
+                           embed_finite, identity, make_shift, max_entry_difference,
+                           multiply, propagation, unitarity_residual, window)
 
 from conftest import dense_window
 
@@ -418,6 +419,26 @@ def test_factor_random(rng):
             w = fin.patch_radius
             for i in range(w, w + 6):
                 assert fin.entry(i, i) == 1.0 and fin.entry(-i - 1, -i - 1) == 1.0
+
+
+@pytest.mark.parametrize("end_periodic", [False, True], ids=["periodic", "end-periodic"])
+def test_factor_keeps_the_patch_of_the_whole_product(end_periodic, rng):
+    # the finite part is read from the square of U B* alone; the oracle builds
+    # the whole product, background included, and takes its patch
+    ops = [synth_random(int(rng.integers(-2, 3)), int(rng.integers(1, 4)),
+                        int(rng.integers(1, 4)), int(end_periodic) * int(rng.integers(1, 3)),
+                        seed=int(rng.integers(0, 2 ** 32))) for _ in range(6)]
+    factor = delta_embed(haar_unitary(3, rng), -1)
+    ops.append(multiply(embed_finite(haar_unitary(4, rng)), factor) if end_periodic
+               else factor)
+    for op in ops:
+        assert isinstance(op, EndPeriodicOperator) == end_periodic
+        split = factor_end_periodic(op)
+        finite = _patched(identity(), multiply(op, op.background.adjoint()).dense_patch)
+        assert serialize_operator(split.finite_part) == serialize_operator(finite)
+        assert split.residual == _product_residual(finite, op.background, op)
+        if not end_periodic:
+            assert serialize_operator(split.finite_part) == serialize_operator(identity())
 
 
 # -- synthesis ---------------------------------------------------------------------------

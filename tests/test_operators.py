@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fpu.cli import parse_operator_text, serialize_operator
+from fpu.cli import parse_operator_text, run_command, serialize_operator
 from fpu.errors import ValidationError
-from fpu.gnvw import index, synth_random
+from fpu.gnvw import decompose, factor_end_periodic, index, synth_random
 from fpu.matutil import haar_unitary
 from fpu.operators import (EndPeriodicOperator, PeriodicBandOperator,
                            apply_state, block_diagonal, delta_embed,
@@ -255,6 +255,20 @@ def test_wide_window_over_nonzero_background_scatters_only_its_ring(centre):
     assert op.patch_radius == 1
     assert op.patch == ({(-1, -1): 1.0, (0, 0): -1.0} if centre else {(-1, -1): 1.0})
     assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("command", ["check", "index", "adjoint"])
+def test_a_dropped_value_sizes_no_table(tmp_path, command):
+    # the 1e-13 value at offset 10**9 is dropped as zero, so the file is the
+    # identity: a table out to that offset would take 29.8 GiB
+    head = ["FPUOP 1", "period 1", "band 1000000000", "bg 0 0 1.0 0.0"]
+    plain, dropped = tmp_path / "plain.op", tmp_path / "dropped.op"
+    plain.write_text("\n".join([*head, "END", ""]))
+    dropped.write_text("\n".join([*head, "bg 0 1000000000 1e-13 0.0", "END", ""]))
+    result, peak = traced_peak(lambda: run_command(["op", command, str(dropped)]))
+    assert result.exit_code == 0
+    assert result == run_command(["op", command, str(plain)])
+    assert peak < 2 ** 20
 
 
 def test_construction_and_adjoint_build_only_the_patch():
@@ -713,6 +727,37 @@ def test_serialize_parse_round_trip(op):
     again = parse_operator_text(text)
     assert serialize_operator(again) == text
     assert again == op
+
+
+def mapping_serialized(op):
+    """The operator file written from the sorted entries and patch mappings:
+    the oracle of serialize_operator, which reads the arrays."""
+    lines = ["FPUOP 1", f"period {op.period}", f"band {op.background.band}",
+             f"patch-radius {op.patch_radius}"]
+    for key, cells in (("bg", op.background.entries), ("patch", op.patch)):
+        for (a, b), v in sorted(cells.items()):
+            lines.append(f"{key} {a} {b} {float(v.real)!r} {float(v.imag)!r}")
+    return "\n".join([*lines, "END"]) + "\n"
+
+
+@given(storage_operators())
+@settings(max_examples=80)
+def test_serializer_writes_the_sorted_mappings(op):
+    assert serialize_operator(op) == mapping_serialized(op)
+    assert serialize_operator(op.adjoint()) == mapping_serialized(op.adjoint())
+
+
+@pytest.mark.parametrize("end_periodic", [False, True], ids=["periodic", "end-periodic"])
+def test_serializer_writes_factors_as_the_sorted_mappings(end_periodic):
+    rng = np.random.default_rng(1818)
+    for _ in range(6):
+        op = synth_random(0, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                          int(rng.integers(1, 3)) if end_periodic else 0,
+                          seed=int(rng.integers(0, 2 ** 32)))
+        assert isinstance(op, EndPeriodicOperator) == end_periodic
+        result, split = decompose(op), factor_end_periodic(op)
+        for built in (op, result.v, result.w, split.finite_part, split.periodic_part):
+            assert serialize_operator(built) == mapping_serialized(built)
 
 
 @given(storage_operators(unsigned_zero_values))
