@@ -133,7 +133,10 @@ def parse_seq_text(text: str) -> EventuallyPeriodicSeq:
             raise ValidationError(f"line {lineno}: duplicate {key} line")
         if key == "core" and not rest:
             raise ValidationError(f"line {lineno}: core needs an offset")
-        values[key] = [_parse_int(t, lineno) for t in rest]
+        try:
+            values[key] = list(map(int, rest))
+        except ValueError:  # name the first token that is not an integer
+            values[key] = [_parse_int(t, lineno) for t in rest]
     if len(values) < 3:
         raise ValidationError("sequence file needs left, core and right lines")
     offset, *core = values["core"]
@@ -199,7 +202,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}")
 
 

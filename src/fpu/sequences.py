@@ -13,9 +13,11 @@ and an exact division algorithm producing (b, c) with a - n*b = (1-S)c and
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd, lcm
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ValidationError
 
@@ -46,9 +48,7 @@ class EventuallyPeriodicSeq:
 
     def __init__(self, left: Iterable[int], offset: int,
                  core: Iterable[int], right: Iterable[int]):
-        left = tuple(int(v) for v in left)
-        core = tuple(int(v) for v in core)
-        right = tuple(int(v) for v in right)
+        left, core, right = (tuple(map(int, vs)) for vs in (left, core, right))
         if not left or not right:
             raise ValidationError("tail period lists must be nonempty")
         lf, off, co, rt = _canonicalize(left, int(offset), core, right)
@@ -74,6 +74,10 @@ class EventuallyPeriodicSeq:
             return self.core[j - self.offset]
         return self.left[(j - self.offset) % len(self.left)]
 
+    def window(self, lo: int, hi: int) -> tuple:
+        """(a_lo, ..., a_{hi-1}), as at() gives them, from slices of the stored data."""
+        return _window(self.left, self.offset, self.core, self.right, lo, hi)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventuallyPeriodicSeq):
             return NotImplemented
@@ -95,13 +99,14 @@ class EventuallyPeriodicSeq:
         hi = max(self.core_end, other.core_end)
         pl = lcm(len(self.left), len(other.left))
         pr = lcm(len(self.right), len(other.right))
-        return from_window(lambda j: op(self.at(j), other.at(j)), lo, hi, pl, pr)
+        w = (lo - pl, hi + pr)
+        return from_window(list(map(op, self.window(*w), other.window(*w))), lo, pl, pr)
 
     def add(self, other: "EventuallyPeriodicSeq") -> "EventuallyPeriodicSeq":
-        return self._combine(other, lambda x, y: x + y)
+        return self._combine(other, operator.add)
 
     def sub(self, other: "EventuallyPeriodicSeq") -> "EventuallyPeriodicSeq":
-        return self._combine(other, lambda x, y: x - y)
+        return self._combine(other, operator.sub)
 
     def scale(self, n: int) -> "EventuallyPeriodicSeq":
         n = int(n)
@@ -136,22 +141,32 @@ class EventuallyPeriodicSeq:
         hi = -(-self.core_end // n) + 1
         pl = len(self.left) // gcd(n, len(self.left))
         pr = len(self.right) // gcd(n, len(self.right))
-        return from_window(lambda i: sum(self.at(n * i + t) for t in range(n)),
-                           lo, hi, pl, pr)
+        off, end = self.offset, self.core_end
+        cl, cc, cr = (list(accumulate(vs, initial=0))
+                      for vs in (self.left[::-1], self.core, self.right))
+
+        def partial(x: int) -> int:
+            """a's sum over [offset, x), negated below: q tail periods plus a part of one."""
+            if x < off:
+                q, r = divmod(off - x, len(self.left))
+                return -q * cl[-1] - cl[r]
+            q, r = divmod(max(x - end, 0), len(self.right))
+            return cc[min(x, end) - off] + q * cr[-1] + cr[r]
+        sums = [partial(x) for x in range(n * (lo - pl), n * (hi + pr) + 1, n)]
+        return from_window(list(map(operator.sub, sums[1:], sums)), lo, pl, pr)
 
     def reduce3(self) -> "EventuallyPeriodicSeq":
         """Collapse each 3-block onto its first index: the result carries
         a_{3i}+a_{3i+1}+a_{3i+2} at index 3i and 0 at 3i+1, 3i+2.  The result
         is congruent to a modulo Im(1-S)."""
-        def val(j: int) -> int:
-            if j % 3:
-                return 0
-            return self.at(j) + self.at(j + 1) + self.at(j + 2)
         lo = 3 * (self.offset // 3 - 1)
         hi = 3 * (-(-self.core_end // 3) + 1)
         pl = lcm(3, len(self.left))
         pr = lcm(3, len(self.right))
-        return from_window(val, lo, hi, pl, pr)
+        v = self.window(lo - pl, hi + pr)  # starts at a multiple of 3, 3k values long
+        r = [0] * len(v)
+        r[::3] = map(sum, zip(v[::3], v[1::3], v[2::3]))
+        return from_window(r, lo, pl, pr)
 
 
 # -- canonicalization -------------------------------------------------------
@@ -182,22 +197,33 @@ def _canonicalize(left, offset, core, right):
         h = l = 0
     if l >= h:  # empty core: pin the tail boundary toward index 0
         l = h = min(max(h, 0), l)
-    return (tuple(raw(j) for j in range(l - dl, l)), l,
-            tuple(raw(j) for j in range(l, h)), tuple(raw(j) for j in range(h, h + dr)))
+    # l only rose from offset and h only fell from end: [l, h) slices the core
+    return (_window(left, offset, core, right, l - dl, l), l, core[l - offset:h - offset],
+            _window(left, offset, core, right, h, h + dr))
 
 
-def from_window(value_at: Callable[[int], int], lo: int, hi: int,
-                left_len: int, right_len: int) -> EventuallyPeriodicSeq:
-    """Build a sequence from an evaluation function.
+def _cycle(word: tuple, start: int, stop: int) -> tuple:
+    """(word[start % p], ..., word[(stop - 1) % p]) for p = len(word), () if stop <= start."""
+    s, k = start % len(word), max(stop - start, 0)
+    return (word * -(-(s + k) // len(word)))[s:s + k]
 
-    The caller guarantees value_at is left_len-periodic below lo and
-    right_len-periodic at and above hi; [lo, hi) is taken as the explicit
-    core and the result is canonicalized.
-    """
-    left = [value_at(j) for j in range(lo - left_len, lo)]
-    core = [value_at(j) for j in range(lo, hi)]
-    right = [value_at(j) for j in range(hi, hi + right_len)]
-    return EventuallyPeriodicSeq(left, lo, core, right)
+
+def _window(left, offset, core, right, lo, hi) -> tuple:
+    """(a_lo, ..., a_{hi-1}) for a stored as (left, offset, core, right), in any
+    form: each tail cycled and the core sliced."""
+    end = offset + len(core)
+    return (_cycle(left, lo - offset, min(hi, offset) - offset)
+            + core[max(lo - offset, 0):max(hi - offset, 0)]
+            + _cycle(right, max(lo, end) - end, hi - end))
+
+
+def from_window(values: Sequence[int], lo: int, left_len: int,
+                right_len: int) -> EventuallyPeriodicSeq:
+    """The sequence with values (a_j), j in [lo - left_len, hi + right_len), that the
+    caller guarantees left_len-periodic below lo and right_len-periodic from hi on:
+    [lo, hi) becomes the core, canonicalized.  hi is implied by len(values)."""
+    return EventuallyPeriodicSeq(values[:left_len], lo, values[left_len:-right_len],
+                                 values[-right_len:])
 
 
 # -- common constructors -----------------------------------------------------
@@ -243,21 +269,21 @@ def alpha_map(a: EventuallyPeriodicSeq):
     hi = -(-a.core_end // 2) + 2
     pl = len(a.left) // gcd(2, len(a.left))
     pr = len(a.right) // gcd(2, len(a.right))
-    first = from_window(lambda j: a.at(2 * j) + a.at(2 * j + 1), lo, hi, pl, pr)
-    second = from_window(lambda j: -a.at(2 * j - 1) - a.at(2 * j), lo, hi, pl, pr)
-    return first, second
+    v = a.window(2 * (lo - pl) - 1, 2 * (hi + pr))  # a_{2j-1}, a_{2j}, a_{2j+1} for each j
+    return (from_window(list(map(operator.add, v[1::2], v[2::2])), lo, pl, pr),
+            from_window([-x for x in map(operator.add, v[::2], v[1::2])], lo, pl, pr))
 
 
 def beta_interleave(a: EventuallyPeriodicSeq,
                     b: EventuallyPeriodicSeq) -> EventuallyPeriodicSeq:
     """Interleave: r_{2j} = a_j, r_{2j+1} = b_j."""
-    def val(j):
-        return a.at(j // 2) if j % 2 == 0 else b.at((j - 1) // 2)
     lo = 2 * min(a.offset, b.offset) - 2
     hi = 2 * max(a.core_end, b.core_end) + 2
     pl = 2 * lcm(len(a.left), len(b.left))
     pr = 2 * lcm(len(a.right), len(b.right))
-    return from_window(val, lo, hi, pl, pr)
+    w, r = ((lo - pl) // 2, (hi + pr) // 2), [0] * (hi + pr - lo + pl)
+    r[::2], r[1::2] = a.window(*w), b.window(*w)
+    return from_window(r, lo, pl, pr)
 
 
 def _prefix(a: EventuallyPeriodicSeq, j: int) -> int:
@@ -277,8 +303,9 @@ def in_image_one_minus_s(a: EventuallyPeriodicSeq) -> MembershipResult:
     """
     if sum(a.right) != 0 or sum(a.left) != 0:
         return MembershipResult(False, None)
-    witness = from_window(lambda j: -_prefix(a, j), a.offset, a.core_end,
-                          len(a.left), len(a.right))
+    pl, pr = len(a.left), len(a.right)
+    witness = from_window([-_prefix(a, j) for j in range(a.offset - pl, a.core_end + pr)],
+                          a.offset, pl, pr)
     return MembershipResult(True, witness)
 
 
@@ -308,6 +335,7 @@ def divide_class(a: EventuallyPeriodicSeq, n: int) -> DivisionWitness:
     drift_l = sum(a.left) % n
     pr = len(a.right) * (n // gcd(drift_r, n))
     pl = len(a.left) * (n // gcd(drift_l, n))
-    c = from_window(lambda j: (-_prefix(a, j)) % n, a.offset, a.core_end, pl, pr)
+    c = from_window([-_prefix(a, j) % n for j in range(a.offset - pl, a.core_end + pr)],
+                    a.offset, pl, pr)
     b = a.sub(c.one_minus_s()).exact_div(n)
     return DivisionWitness(b=b, c=c)

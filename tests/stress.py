@@ -1,8 +1,8 @@
-"""Stress files for the operator commands, timed in fresh interpreters.
+"""Stress files for the operator and sequence commands, timed in fresh interpreters.
 
-Write six large operator files and time the commands that read them, each run
-in a new interpreter through `run_command`, with each given source tree on
-PYTHONPATH in turn:
+Write six large operator files and three sequence files and time the
+commands that read them, each run in a new interpreter through `run_command`,
+with each given source tree on PYTHONPATH in turn:
 
     python tests/stress.py                     # the repository's own src
     python tests/stress.py OLD/src src         # two trees, runs alternated
@@ -20,13 +20,20 @@ The files:
     dense-120       synth_random(0, 1, 120, 60, seed=0): a dense Haar
                     background of period 120 and reach 119 under a
                     radius-60 patch, decomposed on blocks of 240
+    delta0          tests/fixtures/delta0.seq, the delta sequence at 0
+    core-30000      seeded values in -9..9: a 30000-value core between
+                    tails of 5 and 7 values
+    tails-3001+2999 seeded tails of 3001 and 2999 values around a 5-value
+                    core; the lcm of the tail periods is about 9 million
 
 `check` runs on the first five, `decompose` on corner-300 and dense-120,
 `factor` on corner-300 and phase-1500+R300, `index` on diag-600 and
 `adjoint -o` on diag-600 and corner-300, its output file removed before each
-run.  For each command and
-tree the table shows the median wall seconds and `ru_maxrss` MB of 3 runs, and
-with --traced the tracemalloc peak MB of one more run.  Not collected by pytest.
+run.  `seq blocksum` runs on delta0 with n = 1000000, `seq reduce3` and
+`seq alpha` on core-30000 and `seq shift 0` on tails-3001+2999.  For each
+command and tree the table shows the median wall seconds and `ru_maxrss` MB
+of 3 runs, and with --traced the tracemalloc peak MB of one more run.  Not
+collected by pytest.
 """
 
 import argparse
@@ -59,11 +66,15 @@ rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps([seconds, rss, peak, result.exit_code]))
 """
 
-RUNS = [("check", "phase-1500"), ("check", "phase-1500+R300"), ("check", "corner-300"),
-        ("check", "diag-600"), ("check", "S^1000"), ("decompose", "corner-300"),
-        ("decompose", "dense-120"),
-        ("factor", "corner-300"), ("factor", "phase-1500+R300"), ("index", "diag-600"),
-        ("adjoint", "diag-600"), ("adjoint", "corner-300")]
+# (group, command, file, further arguments)
+RUNS = [("op", "check", "phase-1500"), ("op", "check", "phase-1500+R300"),
+        ("op", "check", "corner-300"), ("op", "check", "diag-600"), ("op", "check", "S^1000"),
+        ("op", "decompose", "corner-300"), ("op", "decompose", "dense-120"),
+        ("op", "factor", "corner-300"), ("op", "factor", "phase-1500+R300"),
+        ("op", "index", "diag-600"), ("op", "adjoint", "diag-600"),
+        ("op", "adjoint", "corner-300"), ("seq", "blocksum", "delta0", "1000000"),
+        ("seq", "reduce3", "core-30000"), ("seq", "alpha", "core-30000"),
+        ("seq", "shift", "tails-3001+2999", "0")]
 
 
 def _cell(key, i, j, value):
@@ -86,8 +97,16 @@ def _corners(radius, diagonal):
                     (radius - 1, -radius, diagonal(radius - 1))]
 
 
+def _sequence(rng, left, core, right):
+    """EPSEQ text with seeded values in -9..9: tails of `left` and `right`
+    values around `core` values from offset 0."""
+    def values(size):
+        return " ".join(map(str, rng.integers(-9, 10, size).tolist()))
+    return f"EPSEQ 1\nleft {values(left)}\ncore 0 {values(core)}\nright {values(right)}\nEND\n"
+
+
 def files():
-    """The six stress files, name -> text."""
+    """The nine stress files, name -> text."""
     phases = np.exp(2j * np.pi * np.random.default_rng(0).random(1500))
     phase_bg = [(i, 0, complex(v)) for i, v in enumerate(phases)]
     one = [(0, 0, 1 + 0j)]
@@ -99,6 +118,9 @@ def files():
         "diag-600": _operator(1, 0, one, 600, [(i, i, -1 + 0j) for i in range(-600, 600)]),
         "S^1000": _operator(1, 1000, [(0, 1000, 1 + 0j)]),
         "dense-120": serialize_operator(synth_random(0, 1, 120, 60, seed=0)),
+        "delta0": (pathlib.Path(__file__).parent / "fixtures" / "delta0.seq").read_text(),
+        "core-30000": _sequence(np.random.default_rng(1), 5, 30000, 7),
+        "tails-3001+2999": _sequence(np.random.default_rng(2), 3001, 5, 2999),
     }
 
 
@@ -112,7 +134,8 @@ def _run(src, traced, argv):
 
 
 def main():
-    parser = argparse.ArgumentParser(description="Time operator commands on stress files.")
+    parser = argparse.ArgumentParser(
+        description="Time operator and sequence commands on stress files.")
     parser.add_argument("src", nargs="*", default=["src"], help="source trees to compare")
     parser.add_argument("--traced", action="store_true",
                         help="add one tracemalloc run per command and tree")
@@ -120,12 +143,13 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, text in files().items():
-            paths[name] = pathlib.Path(tmp, name.replace("^", "").replace("+", "-") + ".op")
+            suffix = ".seq" if text.startswith("EPSEQ") else ".op"
+            paths[name] = pathlib.Path(tmp, name.replace("^", "").replace("+", "-") + suffix)
             paths[name].write_text(text)
         print(f"{'command':<26} {'src':<28} {'s':>7} {'MB':>7}"
               + (f" {'peak':>7}" if args.traced else ""))
-        for command, name in RUNS:
-            argv = ["op", command, str(paths[name])]
+        for group, command, name, *rest in RUNS:
+            argv = [group, command, str(paths[name]), *rest]
             argv += ["-o", str(pathlib.Path(tmp, "out.op"))] if command == "adjoint" else []
             samples = {src: [] for src in args.src}
             for _ in range(3):  # alternate the trees so drift hits each alike
@@ -134,7 +158,8 @@ def main():
             for src, runs in samples.items():
                 seconds = statistics.median(run[0] for run in runs)
                 rss = statistics.median(run[1] for run in runs)
-                row = f"{command + ' ' + name:<26} {src[-28:]:<28} {seconds:7.3f} {rss:7.1f}"
+                label = " ".join([command, name, *rest])
+                row = f"{label:<26} {src[-28:]:<28} {seconds:7.3f} {rss:7.1f}"
                 if args.traced:
                     row += f" {_run(src, True, argv)[2]:7.1f}"
                 codes = sorted({run[3] for run in runs} - {0})

@@ -21,6 +21,7 @@ from fpu.cli import (_PARSER, CommandResult, parse_operator_text, parse_seq_text
                      run_command, serialize_operator, serialize_seq)
 from fpu.errors import ValidationError
 from fpu.operators import EndPeriodicOperator, PeriodicBandOperator
+from fpu.sequences import EventuallyPeriodicSeq
 
 from golden_cases import GOLDEN_CASES, resolve_argv
 
@@ -190,6 +191,7 @@ PARSER_MESSAGES = [
     ("seq", "left 1\nleft 1\ncore 0\nright 1\nEND", "line 3: duplicate left line"),
     ("seq", "left 1\ncore\nright 1\nEND", "line 3: core needs an offset"),
     ("seq", "left 1\nright 1\nEND", "sequence file needs left, core and right lines"),
+    ("seq", "left 1\ncore 0 2 x 3\nright 1\nEND", "line 3: expected integer, got 'x'"),
 ]
 
 
@@ -220,6 +222,33 @@ def test_malformed_amp_exits_one():
 
 def test_missing_file_exits_one():
     assert run_command(["op", "index", "/nonexistent/x.op"]).exit_code == 1
+
+
+NOT_UTF8 = {"op": b"FPUOP 1\nperiod 1\nband 0\nbg 0 0 1.0\xff 0.0\nEND\n",
+            "seq": b"EPSEQ 1\nleft 0\ncore 0 1\xff\nright 0\nEND\n"}
+NOT_UTF8_ARGV = {"op": ["op", "check"], "seq": ["seq", "member"]}
+
+
+@pytest.mark.parametrize("kind", ["op", "seq"])
+def test_a_file_that_is_not_utf8_exits_one(tmp_path, kind):
+    path = tmp_path / f"bad.{kind}"
+    path.write_bytes(NOT_UTF8[kind])
+    result = run_command([*NOT_UTF8_ARGV[kind], str(path)])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+    assert result.stderr.count("\n") == 1
+
+
+def test_a_file_that_is_not_utf8_exits_one_from_python_dash_m(tmp_path):
+    path = tmp_path / "bad.seq"
+    path.write_bytes(NOT_UTF8["seq"])
+    src = str(pathlib.Path(fpu.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "fpu", "seq", "member", str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"error: cannot read {path}: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_decompose_shift_exits_two_with_message():
@@ -542,6 +571,65 @@ def test_seq_bare_tail_line_exits_one(tmp_path):
     result = run_command(["seq", "reduce3", str(path)])
     assert result.exit_code == 1
     assert result.stderr == "error: tail period lists must be nonempty\n"
+
+
+def _traced(argv):
+    tracemalloc.start()
+    try:
+        result = run_command(argv)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _periodic_block_sum(word, phase, n, i):
+    """Sum of the n values from n*i of (word[(j - phase) % p])_j: n // p whole
+    periods plus the first n % p values of one, read one by one."""
+    p = len(word)
+    return n // p * sum(word) + sum(word[(n * i + t - phase) % p] for t in range(n % p))
+
+
+@pytest.mark.parametrize("name", ["period3.seq", "delta0.seq"])
+def test_blocksum_costs_the_stored_size_not_n(name, monkeypatch):
+    # both files' tails are one word w from their offset, so a block sums
+    # w's periodic continuation plus the core's departures from it inside the block
+    n = 10 ** 8
+    a = parse_seq_text(fixture_text(name))
+    word = a.right
+    assert a.left == word and len(a.core) % len(word) == 0
+    departures = {a.offset + k: v - word[k % len(word)] for k, v in enumerate(a.core)}
+
+    def not_called(self, j):
+        raise AssertionError("at() evaluated a value")
+    monkeypatch.setattr(EventuallyPeriodicSeq, "at", not_called)
+    result, peak = _traced(["seq", "blocksum", fixture(name), str(n)])
+    monkeypatch.undo()
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert peak < 2 ** 20
+    r = parse_seq_text(result.stdout)
+    for i in range(-9, 10):
+        expected = _periodic_block_sum(word, a.offset, n, i) + sum(
+            v for j, v in departures.items() if n * i <= j < n * i + n)
+        assert r.at(i) == expected, i
+
+
+def test_long_coprime_tails_parse_in_their_stored_size(tmp_path):
+    # tails of 3001 and 2999 values: their lcm is about 9 million, so a
+    # canonical form that cycled either tail that far would take hundreds of MB
+    rng = np.random.default_rng(19)
+    left, core, right = (rng.integers(-9, 10, size).tolist() for size in (3001, 5, 2999))
+    lines = [["left", *left], ["core", -4, *core], ["right", *right]]
+    path = tmp_path / "coprime.seq"
+    path.write_text("\n".join(["EPSEQ 1", *(" ".join(map(str, line)) for line in lines),
+                               "END", ""]))
+    result, peak = _traced(["seq", "shift", str(path), "0"])
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert peak < 4 * 2 ** 20
+    r = parse_seq_text(result.stdout)
+    given = {j: v for j, v in enumerate(core, start=-4)}
+    for j in range(-3 * 3001, 3 * 2999):
+        expected = given.get(j, left[(j + 4) % 3001] if j < -4 else right[(j - 1) % 2999])
+        assert r.at(j) == expected, j
 
 
 @pytest.mark.parametrize("flags", [[], ["-OO"]], ids=["default", "-OO"])

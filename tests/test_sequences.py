@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fpu.errors import ValidationError
 from fpu.sequences import (EventuallyPeriodicSeq, ZERO, alpha_map, alternating,
                            beta_interleave, coinv_equal, constant, delta,
-                           divide_class, in_image_one_minus_s)
+                           divide_class, in_image_one_minus_s, _window)
 
 from conftest import exact_window, seq_equal_on_window
 
@@ -87,6 +87,33 @@ def test_canonical_form_is_representation_independent(a):
 @settings(max_examples=60)
 def test_equality_matches_pointwise_agreement(a, b):
     assert (a == b) == seq_equal_on_window(a, b)
+
+
+WINDOWS = ["inside the core", "across both tails", "far left", "far right"]
+
+
+@given(st.one_of(seqs().map(lambda a: (a.left, a.offset, a.core, a.right)), forms()),
+       st.sampled_from(WINDOWS), st.data())
+@settings(max_examples=300)
+def test_window_reads_what_at_gives(form, kind, data):
+    # a window is read from the canonical form and, as canonicalization reads
+    # it, from the given form; at() is the oracle for both
+    off, end = form[1], form[1] + len(form[2])
+    if kind == "inside the core":
+        lo = data.draw(st.integers(off, end))
+        hi = data.draw(st.integers(lo, end))
+    elif kind == "across both tails":
+        lo = data.draw(st.integers(off - 15, off - 1))
+        hi = data.draw(st.integers(end + 1, end + 15))
+    else:
+        lo = data.draw(st.integers(-15, 15)) + (off - 10 ** 12 if kind == "far left"
+                                                 else end + 10 ** 12)
+        hi = lo + data.draw(st.integers(0, 30))
+    a = EventuallyPeriodicSeq(*form)
+    expected = [a.at(j) for j in range(lo, hi)]
+    assert list(a.window(lo, hi)) == expected
+    left, offset, core, right = form
+    assert list(_window(tuple(left), offset, tuple(core), tuple(right), lo, hi)) == expected
 
 
 def test_canonical_boundary_slide():
