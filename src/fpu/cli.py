@@ -38,7 +38,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,7 +124,7 @@ def _content_lines(text: str, header: str):
 
 
 def parse_seq_text(text: str) -> EventuallyPeriodicSeq:
-    values: Dict[str, List[int]] = {}
+    values: Dict[str, Tuple[int, ...]] = {}
     for lineno, tokens in _content_lines(text, "EPSEQ 1"):
         key, rest = tokens[0], tokens[1:]
         if key not in ("left", "core", "right"):
@@ -134,13 +134,13 @@ def parse_seq_text(text: str) -> EventuallyPeriodicSeq:
         if key == "core" and not rest:
             raise ValidationError(f"line {lineno}: core needs an offset")
         try:
-            values[key] = list(map(int, rest))
+            values[key] = tuple(map(int, rest))
         except ValueError:  # name the first token that is not an integer
             values[key] = [_parse_int(t, lineno) for t in rest]
     if len(values) < 3:
         raise ValidationError("sequence file needs left, core and right lines")
-    offset, *core = values["core"]
-    return EventuallyPeriodicSeq(values["left"], offset, core, values["right"])
+    core = values["core"]  # the tokens are Python ints already: no second conversion
+    return EventuallyPeriodicSeq._of(values["left"], core[0], core[1:], values["right"])
 
 
 # the four fields of each entry line, by directive
@@ -246,8 +246,8 @@ def _write_outputs(out: _Emitter, paths: Optional[Sequence[str]],
         return
     for path, text in zip(paths, texts):
         try:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            with open(path, "wb") as handle:
+                handle.write(text.encode("utf-8"))
         except OSError as exc:
             raise ValidationError(f"cannot write {path}: {exc}")
         out.note(f"wrote {path}")

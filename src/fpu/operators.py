@@ -295,7 +295,8 @@ def _patched(background: PeriodicBandOperator, dense: np.ndarray) -> Operator:
 
 def window(op: Operator, rows, cols) -> np.ndarray:
     """Dense entries op[rows, cols] of integer index arrays broadcast as in
-    numpy indexing; window(op, rows[:, None], cols) is the rectangle."""
+    numpy indexing; window(op, rows[:, None], cols) is the rectangle, and two
+    scalar (or 0-d) indices read one entry as a numpy scalar."""
     bg = op.background
     edge = bg.reach + 1
     out = bg.diagonals[rows % bg.period,
@@ -303,8 +304,11 @@ def window(op: Operator, rows, cols) -> np.ndarray:
     r = op.patch_radius
     if r:
         inside = ((-r <= rows) & (rows < r)) & ((-r <= cols) & (cols < r))
-        flat = (rows + r) * (2 * r) + (cols + r)
-        out[inside] = op.dense_patch.ravel()[flat[inside]]
+        if out.ndim:
+            flat = (rows + r) * (2 * r) + (cols + r)
+            out[inside] = op.dense_patch.ravel()[flat[inside]]
+        elif inside:  # one entry: a numpy scalar, which takes no item assignment
+            out = op.dense_patch[rows + r, cols + r]
     return out
 
 

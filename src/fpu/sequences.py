@@ -22,6 +22,23 @@ from typing import Callable, Iterable, Optional, Sequence
 from .errors import ValidationError
 
 
+def _index(value) -> int:
+    """value as an exact Python int: numpy integers and bools convert, a float
+    or a string is refused rather than truncated or parsed."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"expected an integer, got {value!r}") from None
+
+
+def _ints(values: Iterable[int]) -> tuple:
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:  # name the first value that is not an integer
+        return tuple(map(_index, values))
+
+
 def _minimal_period(word: tuple[int, ...]) -> int:
     """Smallest d >= 1 that leaves word unchanged by rotation.  Such a d divides
     len(word), and testing divisors alone keeps a long aperiodic word linear."""
@@ -48,10 +65,21 @@ class EventuallyPeriodicSeq:
 
     def __init__(self, left: Iterable[int], offset: int,
                  core: Iterable[int], right: Iterable[int]):
-        left, core, right = (tuple(map(int, vs)) for vs in (left, core, right))
+        self._store(_ints(left), _index(offset), _ints(core), _ints(right))
+
+    @classmethod
+    def _of(cls, left: tuple, offset: int, core: tuple,
+            right: tuple) -> "EventuallyPeriodicSeq":
+        """The sequence of tuples of Python ints the library already holds,
+        canonicalized without converting them again."""
+        seq = object.__new__(cls)
+        seq._store(left, offset, core, right)
+        return seq
+
+    def _store(self, left: tuple, offset: int, core: tuple, right: tuple) -> None:
         if not left or not right:
             raise ValidationError("tail period lists must be nonempty")
-        lf, off, co, rt = _canonicalize(left, int(offset), core, right)
+        lf, off, co, rt = _canonicalize(left, offset, core, right)
         object.__setattr__(self, "left", lf)
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "core", co)
@@ -100,7 +128,7 @@ class EventuallyPeriodicSeq:
         pl = lcm(len(self.left), len(other.left))
         pr = lcm(len(self.right), len(other.right))
         w = (lo - pl, hi + pr)
-        return from_window(list(map(op, self.window(*w), other.window(*w))), lo, pl, pr)
+        return from_window(tuple(map(op, self.window(*w), other.window(*w))), lo, pl, pr)
 
     def add(self, other: "EventuallyPeriodicSeq") -> "EventuallyPeriodicSeq":
         return self._combine(other, operator.add)
@@ -125,8 +153,8 @@ class EventuallyPeriodicSeq:
 
     def shift(self, k: int) -> "EventuallyPeriodicSeq":
         """Sequence r with r_j = a_{j+k} (k=1 is the left shift)."""
-        return EventuallyPeriodicSeq(self.left, self.offset - int(k),
-                                     self.core, self.right)
+        return EventuallyPeriodicSeq._of(self.left, self.offset - int(k),
+                                         self.core, self.right)
 
     def one_minus_s(self) -> "EventuallyPeriodicSeq":
         """a - Sa, i.e. j -> a_j - a_{j+1}."""
@@ -146,14 +174,20 @@ class EventuallyPeriodicSeq:
                       for vs in (self.left[::-1], self.core, self.right))
 
         def partial(x: int) -> int:
-            """a's sum over [offset, x), negated below: q tail periods plus a part of one."""
+            """a's sum over [offset, x), negated below, for x off [offset, core_end]:
+            q tail periods plus a part of one."""
             if x < off:
                 q, r = divmod(off - x, len(self.left))
                 return -q * cl[-1] - cl[r]
-            q, r = divmod(max(x - end, 0), len(self.right))
-            return cc[min(x, end) - off] + q * cr[-1] + cr[r]
-        sums = [partial(x) for x in range(n * (lo - pl), n * (hi + pr) + 1, n)]
-        return from_window(list(map(operator.sub, sums[1:], sums)), lo, pl, pr)
+            q, r = divmod(x - end, len(self.right))
+            return cc[-1] + q * cr[-1] + cr[r]
+        # the boundaries n*k from first to last lie in [offset, core_end], one slice
+        # of cc; with none, first > core_end and the slice starts past cc's end
+        first, last = -(-off // n) * n, end // n * n
+        sums = ([partial(x) for x in range(n * (lo - pl), first, n)]
+                + cc[first - off:last - off + 1:n]
+                + [partial(x) for x in range(last + n, n * (hi + pr) + 1, n)])
+        return from_window(tuple(map(operator.sub, sums[1:], sums)), lo, pl, pr)
 
     def reduce3(self) -> "EventuallyPeriodicSeq":
         """Collapse each 3-block onto its first index: the result carries
@@ -221,9 +255,11 @@ def from_window(values: Sequence[int], lo: int, left_len: int,
                 right_len: int) -> EventuallyPeriodicSeq:
     """The sequence with values (a_j), j in [lo - left_len, hi + right_len), that the
     caller guarantees left_len-periodic below lo and right_len-periodic from hi on:
-    [lo, hi) becomes the core, canonicalized.  hi is implied by len(values)."""
-    return EventuallyPeriodicSeq(values[:left_len], lo, values[left_len:-right_len],
-                                 values[-right_len:])
+    [lo, hi) becomes the core, canonicalized.  hi is implied by len(values).  The
+    values are Python ints the library computed, so they are not converted again."""
+    values = tuple(values)
+    return EventuallyPeriodicSeq._of(values[:left_len], lo, values[left_len:-right_len],
+                                     values[-right_len:])
 
 
 # -- common constructors -----------------------------------------------------
@@ -270,8 +306,9 @@ def alpha_map(a: EventuallyPeriodicSeq):
     pl = len(a.left) // gcd(2, len(a.left))
     pr = len(a.right) // gcd(2, len(a.right))
     v = a.window(2 * (lo - pl) - 1, 2 * (hi + pr))  # a_{2j-1}, a_{2j}, a_{2j+1} for each j
-    return (from_window(list(map(operator.add, v[1::2], v[2::2])), lo, pl, pr),
-            from_window([-x for x in map(operator.add, v[::2], v[1::2])], lo, pl, pr))
+    return (from_window(tuple(map(operator.add, v[1::2], v[2::2])), lo, pl, pr),
+            from_window(tuple(map(operator.neg, map(operator.add, v[::2], v[1::2]))),
+                        lo, pl, pr))
 
 
 def beta_interleave(a: EventuallyPeriodicSeq,

@@ -29,7 +29,8 @@ The files:
 `check` runs on the first five, `decompose` on corner-300 and dense-120,
 `factor` on corner-300 and phase-1500+R300, `index` on diag-600 and
 `adjoint -o` on diag-600 and corner-300, its output file removed before each
-run.  `seq blocksum` runs on delta0 with n = 1000000, `seq reduce3` and
+run.  `seq blocksum` runs on delta0 with n = 1000000 and on core-30000 with
+n = 7 (about 4,300 block boundaries inside the core), `seq reduce3` and
 `seq alpha` on core-30000 and `seq shift 0` on tails-3001+2999.  For each
 command and tree the table shows the median wall seconds and `ru_maxrss` MB
 of 3 runs, and with --traced the tracemalloc peak MB of one more run.  Not
@@ -73,7 +74,7 @@ RUNS = [("op", "check", "phase-1500"), ("op", "check", "phase-1500+R300"),
         ("op", "factor", "corner-300"), ("op", "factor", "phase-1500+R300"),
         ("op", "index", "diag-600"), ("op", "adjoint", "diag-600"),
         ("op", "adjoint", "corner-300"), ("seq", "blocksum", "delta0", "1000000"),
-        ("seq", "reduce3", "core-30000"), ("seq", "alpha", "core-30000"),
+        ("seq", "blocksum", "core-30000", "7"), ("seq", "reduce3", "core-30000"), ("seq", "alpha", "core-30000"),
         ("seq", "shift", "tails-3001+2999", "0")]
 
 

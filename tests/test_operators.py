@@ -1,6 +1,7 @@
 """Operator algebra tests.  The oracle throughout is brute-force dense matrix
 arithmetic over an index window wide enough that truncation cannot leak in."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -368,6 +369,9 @@ def test_window_matches_scalar_oracle(rng, end_periodic):
         r = (rows - lo)[:, None]  # a band of offsets -1 .. 2 around each row
         at = r + np.arange(-1, 3)
         assert np.array_equal(window(op, rows[:, None], at + lo), oracle[r, at])
+        # scalar indices read one entry, as 0-d arrays do
+        for i, j in itertools.product(range(lo, hi), repeat=2):
+            assert window(op, i, j) == window(op, np.array(i), np.array(j)) == op.entry(i, j)
 
 
 # -- products ----------------------------------------------------------------------

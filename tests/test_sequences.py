@@ -2,6 +2,7 @@
 shift-coinvariant algebra.  Expected values are frozen from unrolling the
 defining formulas by hand; window checks compare against direct evaluation."""
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -67,6 +68,21 @@ def test_validation_empty_tails():
         EventuallyPeriodicSeq([], 0, [1], [0])
     with pytest.raises(ValidationError):
         EventuallyPeriodicSeq([0], 0, [1], [])
+
+
+def test_constructor_takes_integers_only():
+    # a float or a string is neither truncated nor parsed
+    with pytest.raises(ValidationError, match="^expected an integer, got 1.7$"):
+        EventuallyPeriodicSeq([1.7], 0, ["5"], [0])
+    with pytest.raises(ValidationError, match="^expected an integer, got '5'$"):
+        EventuallyPeriodicSeq([1], 0, ["5"], [0])
+    with pytest.raises(ValidationError, match="^expected an integer, got 2.0$"):
+        EventuallyPeriodicSeq([1], 2.0, [5], [0])
+    # numpy integers and bools are stored as exact Python ints
+    a = EventuallyPeriodicSeq(np.array([1, 2], dtype=np.int64), np.int64(-3),
+                              [True, np.int32(7)], (np.uint8(4), False))
+    assert a == EventuallyPeriodicSeq([1, 2], -3, [1, 7], [4, 0])
+    assert {type(v) for v in (a.offset, *a.left, *a.core, *a.right)} == {int}
 
 
 @given(seqs())
@@ -138,6 +154,9 @@ def test_canonical_form_picks_the_pinned_representative(form):
     # boundary as near 0 as the tails allow, and at 0 for a periodic sequence
     a = EventuallyPeriodicSeq(*form)
     left, core, right = a.left, a.core, a.right
+    # the library's own constructor takes the same tuples to the same form
+    b = EventuallyPeriodicSeq._of(tuple(form[0]), form[1], tuple(form[2]), tuple(form[3]))
+    assert (b.left, b.offset, b.core, b.right) == (left, a.offset, core, right)
     for word in (left, right):
         assert all(word[d:] + word[:d] != word for d in range(1, len(word)))
     if core:
@@ -214,6 +233,12 @@ def test_block_sum_examples():
 
 
 @given(seqs(), st.integers(1, 5))
+@example(EventuallyPeriodicSeq([1], 3, [2, 5, 7, -3], [4]), 3)  # a boundary at the core's start
+@example(EventuallyPeriodicSeq([1], 1, [2, 5, 7], [4]), 2)  # one just past its end
+@example(EventuallyPeriodicSeq([1, 0], 1, [2, 5], [4, -1]), 5)  # a block longer than the core
+@example(EventuallyPeriodicSeq([1], 3, [], [2]), 2)  # an empty core between boundaries
+@example(EventuallyPeriodicSeq([1], 3, [], [2]), 3)  # an empty core on a boundary
+@example(EventuallyPeriodicSeq([2, -1], -2001, [3, 0, 4], [5]), 4)  # a far negative offset
 @settings(max_examples=60)
 def test_block_sum_window(a, n):
     r = a.block_sum(n)
