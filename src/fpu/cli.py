@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -78,8 +79,10 @@ def serialize_operator(op: Operator) -> str:
              f"band {op.background.band}",
              f"patch-radius {op.patch_radius}"]
     bg, r = op.background, op.patch_radius
-    for key, array, row0, col0 in (("bg", bg.diagonals, 0, -bg.reach - 1),
-                                   ("patch", op.dense_patch, -r, -r)):
+    blocks = [("bg", bg.diagonals, 0, -bg.reach - 1)]
+    if r:  # a periodic operator has no patch to read
+        blocks.append(("patch", op.dense_patch, -r, -r))
+    for key, array, row0, col0 in blocks:
         a, b = np.nonzero(array)  # in row-major order, which is the sorted key order
         v = array[a, b]
         lines += map((key + " {} {} {!r} {!r}").format, (a + row0).tolist(),
@@ -161,11 +164,16 @@ def parse_operator_text(text: str) -> Operator:
         elif key in cells:
             if len(rest) != 4:
                 raise ValidationError(f"line {lineno}: {key} needs {_CELL_FIELDS[key]}")
-            cell = (_parse_int(rest[0], lineno), _parse_int(rest[1], lineno))
+            try:
+                cell = (int(rest[0]), int(rest[1]))
+                value = complex(float(rest[2]), float(rest[3]))
+            except ValueError:  # a bad token is named, a bad number after a duplicate cell
+                cell, value = (_parse_int(rest[0], lineno), _parse_int(rest[1], lineno)), None
             if cell in cells[key]:
                 raise ValidationError(f"line {lineno}: duplicate {key} entry {cell}")
-            cells[key][cell] = complex(_parse_float(rest[2], lineno),
-                                       _parse_float(rest[3], lineno))
+            if value is None:
+                value = complex(_parse_float(rest[2], lineno), _parse_float(rest[3], lineno))
+            cells[key][cell] = value
         else:
             raise ValidationError(f"line {lineno}: unknown directive {key!r}")
     if "period" not in sizes or "band" not in sizes:
@@ -200,8 +208,8 @@ def _tolerance(text: str) -> float:
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb", buffering=0) as handle:  # one read, no buffer objects
+            return handle.readall().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}")
 
@@ -245,9 +253,14 @@ def _write_outputs(out: _Emitter, paths: Optional[Sequence[str]],
             out.emit_text(text)
         return
     for path, text in zip(paths, texts):
+        data = memoryview(text.encode("utf-8"))
         try:
-            with open(path, "wb") as handle:
-                handle.write(text.encode("utf-8"))
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                while data:  # a write may take fewer bytes than it is given
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise ValidationError(f"cannot write {path}: {exc}")
         out.note(f"wrote {path}")

@@ -28,6 +28,7 @@ from .operators import (CHECK_TOL, ZERO_TOL, Operator, PeriodicBandOperator, _en
                         _excess, _patched, _product_residual, _rows_product,
                         block_diagonal, delta_embed, embed_finite, identity, make_shift,
                         multiply, propagation, require_unitary, window)
+from .sequences import _index
 
 # default acceptance tolerance on the index integer deviation
 INDEX_TOL = 1e-6
@@ -271,14 +272,14 @@ def synth_random(target_index: int, period: int = 1, block_size: int = 1,
     at staggered offsets and an optional finite Haar patch contribute index
     zero each, so the product's index is exactly target_index.
     """
-    if seed is None or int(seed) < 0:
+    if seed is None or (seed := _index(seed)) < 0:
         raise ValidationError("a seed >= 0 is required")
-    period, block_size, patch_blocks = int(period), int(block_size), int(patch_blocks)
+    period, block_size, patch_blocks = _index(period), _index(block_size), _index(patch_blocks)
     if period < 1 or block_size < 1 or patch_blocks < 0:
         raise ValidationError("period and block size must be >= 1, patches >= 0")
 
-    rng = np.random.default_rng(int(seed))
-    op: Operator = make_shift(int(target_index))
+    rng = np.random.default_rng(seed)
+    op: Operator = make_shift(target_index)
     op = multiply(op, delta_embed(haar_unitary(period, rng), 0))
     stagger = -max(1, block_size // 2)
     op = multiply(op, delta_embed(haar_unitary(block_size, rng), stagger))

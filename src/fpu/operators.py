@@ -25,6 +25,7 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .sequences import _index
 
 # canonicalization threshold: entries at or below this are treated as zero
 ZERO_TOL = 1e-12
@@ -117,10 +118,12 @@ class Operator:
         bg = self.background
         i, d = np.arange(bg.period)[:, None], np.arange(-bg.reach, bg.reach + 1)
         star = _periodic(bg.band, window(bg, i + d, i).conj())
+        if self is bg:
+            return star
         # a cell and its transpose share a ring and their gap to the background, so
         # the conjugate transpose of a minimal patch is minimal; C order, as window ravels it
         patch = np.conjugate(self.dense_patch.T, order="C")
-        return star if self is bg else _new(EndPeriodicOperator, star, self.patch_radius, patch)
+        return _new(EndPeriodicOperator, star, self.patch_radius, patch)
 
     def __eq__(self, other) -> bool:
         # entrywise over a common refinement; tolerance matches the floating
@@ -149,7 +152,7 @@ class PeriodicBandOperator(Operator):
 
     def __new__(cls, period: int, band: int,
                 entries: Mapping[Tuple[int, int], complex]):
-        period, band = int(period), int(band)
+        period, band = _index(period), _index(band)
         if period < 1:
             raise ValidationError("period must be >= 1")
         if band < 0:
@@ -201,9 +204,11 @@ class EndPeriodicOperator(Operator):
 
     def __new__(cls, background: PeriodicBandOperator, patch_radius: int,
                 patch: Mapping[Tuple[int, int], complex]):
-        radius = int(patch_radius)
+        radius = _index(patch_radius)
         if radius < 0:
             raise ValidationError("patch radius must be >= 0")
+        if not radius and not patch:  # a periodic operator: no patch to scatter
+            return background
         i, j, values = _mapping_cells(patch)
         outside = (i < -radius) | (i >= radius) | (j < -radius) | (j >= radius)
         keep = _validated(values, [(outside, lambda k: (
@@ -211,10 +216,11 @@ class EndPeriodicOperator(Operator):
         i, j, values = i[keep], j[keep], values[keep]
         # scatter only within the outermost ring of a cell that differs from the
         # background: a given one, or an explicit zero on a nonzero diagonal
-        ring = np.max([i, -1 - i, j, -1 - j], axis=0)  # ring - 1, which cannot overflow
+        ring = np.maximum(np.maximum(i, -1 - i), np.maximum(j, -1 - j))  # ring - 1: no overflow
         row = (i % background.period).astype(np.int64)
         edge = background.reach + 1  # offsets clipped this far read a zero column
-        base = window(background, row, row + np.clip(j - i, -edge, edge).astype(np.int64))
+        offset = np.minimum(np.maximum(j - i, -edge), edge).astype(np.int64)
+        base = window(background, row, row + offset)
         differs = np.abs(values - base) > ZERO_TOL
         radius = _explicit_zero_ring(background, radius, i, j,
                                      int(ring[differs].max(initial=-1)) + 1)
@@ -316,12 +322,18 @@ def window(op: Operator, rows, cols) -> np.ndarray:
 
 def make_shift(k: int) -> PeriodicBandOperator:
     """S^k: (S^k v)_i = v_{i+k}, a single unit diagonal at offset k."""
-    k = int(k)
+    k = _index(k)
     return PeriodicBandOperator(1, abs(k), {(0, k): 1.0})
 
 
+# its table written out: built through the constructor at import, it would
+# page in numpy code that every sequence command then carries (about 0.6 MB)
+_IDENTITY = _new(PeriodicBandOperator, 1, 0, np.array([[0, 1, 0]], dtype=complex))
+
+
 def identity() -> PeriodicBandOperator:
-    return make_shift(0)
+    """The identity, one immutable operator built once."""
+    return _IDENTITY
 
 
 def delta_embed(block: np.ndarray, k: int = 0) -> PeriodicBandOperator:
@@ -330,6 +342,7 @@ def delta_embed(block: np.ndarray, k: int = 0) -> PeriodicBandOperator:
     m = np.asarray(block, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValidationError("block must be a square matrix")
+    k = _index(k)
     size, (r, c) = len(m), np.indices(m.shape)
     table = np.zeros((size, 2 * size - 1), dtype=complex)
     table[(k + r) % size, size - 1 + c - r] = m
@@ -424,6 +437,8 @@ def multiply(a: Operator, b: Operator) -> Operator:
 
 def propagation(op: Operator) -> int:
     """Largest |i-j| of a nonzero entry over one period plus the patch window."""
+    if not op.patch_radius:
+        return op.background.reach
     i, j = np.nonzero(op.dense_patch)
     return max(op.background.reach, int(np.abs(i - j).max(initial=0)))
 

@@ -24,7 +24,8 @@ from .errors import ValidationError
 
 def _index(value) -> int:
     """value as an exact Python int: numpy integers and bools convert, a float
-    or a string is refused rather than truncated or parsed."""
+    or a string is refused rather than truncated or parsed.  Every integer
+    argument of the library, sequence or operator, converts through it."""
     try:
         return operator.index(value)
     except TypeError:
@@ -137,13 +138,16 @@ class EventuallyPeriodicSeq:
         return self._combine(other, operator.sub)
 
     def scale(self, n: int) -> "EventuallyPeriodicSeq":
-        n = int(n)
+        n = _index(n)
         return EventuallyPeriodicSeq([n * v for v in self.left], self.offset,
                                      [n * v for v in self.core],
                                      [n * v for v in self.right])
 
     def exact_div(self, n: int) -> "EventuallyPeriodicSeq":
         """Divide every value by n; all values must be divisible exactly."""
+        n = _index(n)
+        if n == 0:
+            raise ValidationError("divisor must be nonzero")
         vals = self.left + self.core + self.right
         if any(v % n for v in vals):
             raise ValidationError(f"sequence is not divisible by {n}")
@@ -153,7 +157,7 @@ class EventuallyPeriodicSeq:
 
     def shift(self, k: int) -> "EventuallyPeriodicSeq":
         """Sequence r with r_j = a_{j+k} (k=1 is the left shift)."""
-        return EventuallyPeriodicSeq._of(self.left, self.offset - int(k),
+        return EventuallyPeriodicSeq._of(self.left, self.offset - _index(k),
                                          self.core, self.right)
 
     def one_minus_s(self) -> "EventuallyPeriodicSeq":
@@ -162,7 +166,7 @@ class EventuallyPeriodicSeq:
 
     def block_sum(self, n: int) -> "EventuallyPeriodicSeq":
         """r_i = a_{ni} + a_{ni+1} + ... + a_{ni+n-1}, groups anchored at 0."""
-        n = int(n)
+        n = _index(n)
         if n < 1:
             raise ValidationError("block size must be >= 1")
         lo = self.offset // n - 1
@@ -364,7 +368,7 @@ def divide_class(a: EventuallyPeriodicSeq, n: int) -> DivisionWitness:
     prefix drifts by a fixed amount per period, so c closes up with period
     (tail period) * n / gcd(drift, n) and b = (a - (1-S)c) / n is exact.
     """
-    n = int(n)
+    n = _index(n)
     if n < 1:
         raise ValidationError("divisor must be a positive integer")
 

@@ -32,9 +32,11 @@ The files:
 run.  `seq blocksum` runs on delta0 with n = 1000000 and on core-30000 with
 n = 7 (about 4,300 block boundaries inside the core), `seq reduce3` and
 `seq alpha` on core-30000 and `seq shift 0` on tails-3001+2999.  For each
-command and tree the table shows the median wall seconds and `ru_maxrss` MB
-of 3 runs, and with --traced the tracemalloc peak MB of one more run.  Not
-collected by pytest.
+command and tree the table shows the median wall seconds and peak resident
+MB of 3 runs, and with --traced the tracemalloc peak MB of one more run.  The
+peak is the child's own `VmHWM` from /proc/self/status, which exec starts
+afresh; `ru_maxrss` would carry the larger peak of this script's process
+across fork and exec.  Linux only.  Not collected by pytest.
 """
 
 import argparse
@@ -52,9 +54,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from fpu.cli import serialize_operator  # noqa: E402  (writes dense-120)
 from fpu.gnvw import synth_random  # noqa: E402
 
-# one run: prints [seconds, ru_maxrss MB, tracemalloc peak MB or null, exit code]
+# one run: prints [seconds, VmHWM MB, tracemalloc peak MB or null, exit code]
 CHILD = """
-import json, resource, sys, time, tracemalloc
+import json, sys, time, tracemalloc
 from fpu.cli import run_command
 traced = sys.argv[1] == "traced"
 if traced:
@@ -63,7 +65,8 @@ start = time.perf_counter()
 result = run_command(sys.argv[2:])
 seconds = time.perf_counter() - start
 peak = tracemalloc.get_traced_memory()[1] / 2 ** 20 if traced else None
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+with open("/proc/self/status") as status:
+    rss = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
 print(json.dumps([seconds, rss, peak, result.exit_code]))
 """
 

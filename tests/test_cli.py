@@ -20,7 +20,8 @@ from fpu import cli
 from fpu.cli import (_PARSER, CommandResult, parse_operator_text, parse_seq_text,
                      run_command, serialize_operator, serialize_seq)
 from fpu.errors import ValidationError
-from fpu.operators import EndPeriodicOperator, PeriodicBandOperator
+from fpu.matutil import haar_unitary
+from fpu.operators import EndPeriodicOperator, PeriodicBandOperator, embed_finite
 from fpu.sequences import EventuallyPeriodicSeq
 
 from golden_cases import GOLDEN_CASES, resolve_argv
@@ -59,9 +60,10 @@ def test_seq_round_trip(path):
 
 def test_parse_shift_file_structure():
     op = parse_operator_text(fixture_text("shift1.op"))
-    assert isinstance(op, PeriodicBandOperator)
+    assert type(op) is PeriodicBandOperator and op.background is op
     assert op.period == 1 and op.band == 1
     assert op.entries == {(0, 1): (1 + 0j)}
+    assert "\npatch " not in serialize_operator(op)
 
 
 def test_parse_end_periodic_structure():
@@ -78,6 +80,17 @@ def test_background_equal_patch_lines_parse_to_the_background():
                              "patch -1 0 1.0 0.0\npatch 0 1 1.0 0.0\nEND\n")
     assert type(op) is PeriodicBandOperator
     assert serialize_operator(op) == fixture_text("shift1.op")
+
+
+@pytest.mark.parametrize("kind, name", [("op", "endswap.op"), ("seq", "period3.seq")])
+def test_a_crlf_file_reads_as_its_lf_form(tmp_path, kind, name):
+    text = fixture_text(name)
+    path = tmp_path / name
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    if kind == "op":
+        assert serialize_operator(cli._load_operator(str(path))) == text
+    else:
+        assert cli._load_seq(str(path)) == parse_seq_text(text)
 
 
 def fixture_text(name: str) -> str:
@@ -188,6 +201,13 @@ PARSER_MESSAGES = [
     ("op", "period 1\nEND", "operator file needs period and band lines"),
     ("op", "period 1\nperiod 1\nband 0\nEND", "line 3: duplicate period line"),
     ("op", "period 1\nband 0\nbg 0 0 1\nEND", "line 4: bg needs i d re im"),
+    ("op", "period 1\nband 0\nbg 0 x 1.0 0.0\nEND", "line 4: expected integer, got 'x'"),
+    ("op", "period 1\nband 0\nbg 0 0 1.0 0.0j\nEND", "line 4: expected number, got '0.0j'"),
+    ("op", "period 1\nband 0\npatch-radius 1\npatch 0 0 1.0 0.0\npatch -1 1.5 1.0 0.0\nEND",
+     "line 6: expected integer, got '1.5'"),
+    # a cell given twice is reported before a bad number on its second line
+    ("op", "period 1\nband 0\nbg 0 0 1.0 0.0\nbg 0 0 1.0 y\nEND",
+     "line 5: duplicate bg entry (0, 0)"),
     ("seq", "left 1\nleft 1\ncore 0\nright 1\nEND", "line 3: duplicate left line"),
     ("seq", "left 1\ncore\nright 1\nEND", "line 3: core needs an offset"),
     ("seq", "left 1\nright 1\nEND", "sequence file needs left, core and right lines"),
@@ -545,6 +565,25 @@ def test_unwritable_output_exits_one(tmp_path):
     result = run_command(["op", "adjoint", fixture("shift1.op"), "-o", str(out)])
     assert result.exit_code == 1
     assert result.stderr.startswith(f"error: cannot write {out}")
+
+
+def test_a_write_that_takes_part_of_its_bytes_is_continued(tmp_path, monkeypatch):
+    # a Haar patch over [-128, 128)^2 serializes to about 4 MB
+    rng = np.random.default_rng(5)
+    op = embed_finite(haar_unitary(256, rng))
+    path, out = tmp_path / "u.op", tmp_path / "adj.op"
+    path.write_text(serialize_operator(op))
+    write, sizes = os.write, []
+
+    def short_write(fd, data):  # at most one page per call, as a pipe may take
+        sizes.append(write(fd, data[:4096]))
+        return sizes[-1]
+    monkeypatch.setattr(os, "write", short_write)
+    result = run_command(["op", "adjoint", str(path), "-o", str(out)])
+    assert (result.exit_code, result.stderr) == (0, "")
+    expected = serialize_operator(op.adjoint()).encode()
+    assert len(expected) > 3 * 2 ** 20 and len(sizes) > 700
+    assert out.read_bytes() == expected
 
 
 def test_apply_delta_and_amp_are_exclusive():

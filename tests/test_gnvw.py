@@ -460,6 +460,15 @@ def test_synth_rejects_an_empty_period():
         synth_random(0, 0, seed=1)
 
 
+@pytest.mark.parametrize("argument", ["target_index", "period", "block_size",
+                                      "patch_blocks", "seed"])
+def test_synth_refuses_a_float_argument(argument):
+    arguments = dict(target_index=0, period=2, block_size=1, patch_blocks=0, seed=1)
+    arguments[argument] += 0.5
+    with pytest.raises(ValidationError, match="^expected an integer, got [0-9.]+$"):
+        synth_random(**arguments)
+
+
 def test_synth_target_indices():
     for k in range(-3, 4):
         for seed in (3, 17):

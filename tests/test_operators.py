@@ -89,6 +89,40 @@ def test_make_shift_basics():
     assert make_shift(-2) == make_shift(2).adjoint()
 
 
+FLOAT_ARGUMENTS = {
+    "make_shift": lambda: make_shift(1.5),
+    "period": lambda: PeriodicBandOperator(2.7, 1, {(0, 1): 1.0}),
+    "band": lambda: PeriodicBandOperator(1, 1.0, {(0, 1): 1.0}),
+    "patch_radius": lambda: EndPeriodicOperator(identity(), 1.5, {}),
+    "delta_embed": lambda: delta_embed(np.eye(2), 0.5),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_ARGUMENTS.values(), ids=FLOAT_ARGUMENTS)
+def test_integer_arguments_refuse_a_float(call):
+    with pytest.raises(ValidationError, match="^expected an integer, got [0-9.]+$"):
+        call()
+
+
+@pytest.mark.parametrize("k", [np.int64(1), True], ids=["int64", "bool"])
+def test_integer_arguments_take_numpy_integers_and_bools(k):
+    assert make_shift(k) == make_shift(1)
+    assert PeriodicBandOperator(k, k, {(0, 1): 1.0}) == make_shift(1)
+    assert EndPeriodicOperator(identity(), k, {(0, 0): -1.0}).patch_radius == 1
+    assert delta_embed(SWAP, k) == delta_embed(SWAP, 1)
+
+
+def test_identity_is_one_immutable_operator():
+    assert identity() is identity()
+    with pytest.raises(AttributeError, match="^PeriodicBandOperator is immutable$"):
+        identity().band = 1
+    with pytest.raises(ValueError, match="read-only"):
+        identity().diagonals[0, 1] = 2.0
+    shift = make_shift(0)
+    assert (identity().period, identity().band) == (shift.period, shift.band)
+    assert np.array_equal(identity().diagonals, shift.diagonals)
+
+
 def test_entry_periodicity_random_spots(rng):
     op = delta_embed(haar_unitary(3, rng), -1)
     for _ in range(50):

@@ -85,6 +85,36 @@ def test_constructor_takes_integers_only():
     assert {type(v) for v in (a.offset, *a.left, *a.core, *a.right)} == {int}
 
 
+A = EventuallyPeriodicSeq([1, 2], -3, [5, 6, 7], [0])
+FLOAT_ARGUMENTS = {
+    "scale": lambda: A.scale(1.7),
+    "block_sum": lambda: A.block_sum(2.9),
+    "shift": lambda: A.shift(1.5),
+    "divide_class": lambda: divide_class(A, 2.5),
+    "exact_div": lambda: A.exact_div(2.0),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_ARGUMENTS.values(), ids=FLOAT_ARGUMENTS)
+def test_integer_arguments_refuse_a_float(call):
+    # the float is neither truncated nor rounded
+    with pytest.raises(ValidationError, match="^expected an integer, got [0-9.]+$"):
+        call()
+
+
+@pytest.mark.parametrize("n", [np.int64(1), True], ids=["int64", "bool"])
+def test_integer_arguments_take_numpy_integers_and_bools(n):
+    assert A.scale(n) == A.scale(1) == A
+    assert A.block_sum(n) == A and A.exact_div(n) == A
+    assert A.shift(n) == A.shift(1)
+    assert divide_class(A, n) == divide_class(A, 1)
+
+
+def test_exact_div_by_zero_is_a_validation_error():
+    with pytest.raises(ValidationError, match="^divisor must be nonzero$"):
+        A.exact_div(0)
+
+
 @given(seqs())
 @settings(max_examples=80)
 def test_canonical_form_is_representation_independent(a):
