@@ -165,6 +165,13 @@ def _snap_block(m: np.ndarray):
     return m, float(np.linalg.norm(gram))
 
 
+def _within(what: str, value: float, tol: float) -> float:
+    """value, or NumericalError naming what when it exceeds tol."""
+    if value > tol:
+        raise NumericalError(f"{what} {value:.3e} exceeds tolerance {tol:.3e}")
+    return value
+
+
 def _tiles(op: Operator, rows, cols, size: int) -> np.ndarray:
     """The size x size tiles of op whose first cells are (rows, cols), broadcast."""
     i, rows, cols = np.arange(size), np.asarray(rows)[..., None, None], np.asarray(cols)
@@ -205,11 +212,8 @@ def decompose(op: Operator, tol: float = CHECK_TOL) -> DecompositionResult:
                               for m in rows]).conj().swapaxes(-1, -2)
     v_raw[np.abs(v_raw) <= ZERO_TOL] = 0  # as a built product stores them
     # V's block m is the middle b columns of block-row m, and the rest leaks
-    leakage = float(max(np.abs(v_raw[:, 0, :, :half]).max(),
-                        np.abs(v_raw[:, 1, :, half:]).max()))
-    if leakage > tol:
-        raise NumericalError(
-            f"off-block leakage {leakage:.3e} exceeds tolerance {tol:.3e}")
+    leakage = _within("off-block leakage", float(max(np.abs(v_raw[:, 0, :, :half]).max(),
+                                                     np.abs(v_raw[:, 1, :, half:]).max())), tol)
     v_blocks = np.concatenate([v_raw[:, 0, :, half:], v_raw[:, 1, :, :half]], axis=2)
     del v_raw  # free the largest arrays before v_op and the residual are built
     v_blocks, norms = zip(*map(_snap_block, v_blocks))
@@ -223,16 +227,11 @@ def decompose(op: Operator, tol: float = CHECK_TOL) -> DecompositionResult:
     np.matmul(v[:, :, :half], w[:, 0, half:], out=vw[:, 0])
     np.matmul(v[:, :, half:], w[:, 1, :half], out=vw[:, 1])
     del v, w
-    residual = _excess(vw, _tiles(op, starts[:, None], cols, block))
-    if residual > tol:
-        raise NumericalError(
-            f"reconstruction residual {residual:.3e} exceeds tolerance {tol:.3e}")
+    residual = _within("reconstruction residual",
+                       _excess(vw, _tiles(op, starts[:, None], cols, block)), tol)
     # both factors are block diagonal, so |VV* - I| and |V*V - I| are at most
     # the largest Frobenius defect of their distinct blocks
-    res = max(*norms, *w_norms)
-    if res > tol:
-        raise NumericalError(
-            f"factor unitarity residual {res:.3e} exceeds tolerance {tol:.3e}")
+    _within("factor unitarity residual", max(*norms, *w_norms), tol)
     return DecompositionResult(v=v_op, w=w_op, block_size=block,
                                residual=residual, block_leakage=leakage)
 
@@ -256,10 +255,7 @@ def factor_end_periodic(op: Operator, tol: float = CHECK_TOL) -> EndPeriodicSpli
     finite_part = (_patched(identity(), _rows_product(op, star, cells, cells))
                    if radius else identity())
 
-    residual = _product_residual(finite_part, periodic_part, op)
-    if residual > tol:
-        raise NumericalError(
-            f"split residual {residual:.3e} exceeds tolerance {tol:.3e}")
+    residual = _within("split residual", _product_residual(finite_part, periodic_part, op), tol)
     return EndPeriodicSplit(finite_part=finite_part,
                             periodic_part=periodic_part, residual=residual)
 

@@ -33,11 +33,7 @@ def _index(value) -> int:
 
 
 def _ints(values: Iterable[int]) -> tuple:
-    values = tuple(values)
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:  # name the first value that is not an integer
-        return tuple(map(_index, values))
+    return tuple(map(_index, values))
 
 
 def _minimal_period(word: tuple[int, ...]) -> int:
@@ -139,9 +135,9 @@ class EventuallyPeriodicSeq:
 
     def scale(self, n: int) -> "EventuallyPeriodicSeq":
         n = _index(n)
-        return EventuallyPeriodicSeq([n * v for v in self.left], self.offset,
-                                     [n * v for v in self.core],
-                                     [n * v for v in self.right])
+        return EventuallyPeriodicSeq._of(tuple([n * v for v in self.left]), self.offset,
+                                         tuple([n * v for v in self.core]),
+                                         tuple([n * v for v in self.right]))
 
     def exact_div(self, n: int) -> "EventuallyPeriodicSeq":
         """Divide every value by n; all values must be divisible exactly."""
@@ -151,9 +147,9 @@ class EventuallyPeriodicSeq:
         vals = self.left + self.core + self.right
         if any(v % n for v in vals):
             raise ValidationError(f"sequence is not divisible by {n}")
-        return EventuallyPeriodicSeq([v // n for v in self.left], self.offset,
-                                     [v // n for v in self.core],
-                                     [v // n for v in self.right])
+        return EventuallyPeriodicSeq._of(tuple([v // n for v in self.left]), self.offset,
+                                         tuple([v // n for v in self.core]),
+                                         tuple([v // n for v in self.right]))
 
     def shift(self, k: int) -> "EventuallyPeriodicSeq":
         """Sequence r with r_j = a_{j+k} (k=1 is the left shift)."""

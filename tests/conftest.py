@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,15 @@ def dense_window(op: Operator, lo: int, hi: int) -> np.ndarray:
     """Dense matrix of the operator over [lo, hi)^2; the brute-force oracle."""
     return np.array([[op.entry(i, j) for j in range(lo, hi)]
                      for i in range(lo, hi)], dtype=complex)
+
+
+def traced_peak(build):
+    """build() and the tracemalloc peak, in bytes, of the call alone."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

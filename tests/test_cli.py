@@ -6,7 +6,6 @@ import pathlib
 import shlex
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +23,7 @@ from fpu.matutil import haar_unitary
 from fpu.operators import EndPeriodicOperator, PeriodicBandOperator, embed_finite
 from fpu.sequences import EventuallyPeriodicSeq
 
+from conftest import traced_peak
 from golden_cases import GOLDEN_CASES, resolve_argv
 
 TESTS_DIR = pathlib.Path(__file__).parent
@@ -459,12 +459,7 @@ def test_far_corner_patch_checks_within_its_own_window(tmp_path):
     path.write_text("\n".join(["FPUOP 1", "period 1", "band 0", "patch-radius 100",
                                "bg 0 0 1 0", *diagonal, "patch -100 99 1 0",
                                "patch 99 -100 1 0", "END", ""]))
-    tracemalloc.start()
-    try:
-        result = run_command(["op", "check", str(path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(lambda: run_command(["op", "check", str(path)]))
     assert result.exit_code == 0
     assert result.stdout == ("unitary true\nresidual 0.0\npropagation 199\nperiod 1\n"
                              "patch-radius 100\n")
@@ -485,12 +480,7 @@ def test_shift_check_sums_only_over_the_band(tmp_path):
              "propagation 0\nperiod 1\npatch-radius 300", 25)]:
         path = tmp_path / "band.op"
         path.write_text("\n".join(["FPUOP 1", "period 1", *lines, "END", ""]))
-        tracemalloc.start()
-        try:
-            result = run_command(["op", "check", str(path)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(lambda: run_command(["op", "check", str(path)]))
         assert result.stdout == f"unitary true\nresidual 0.0\n{report}\n"
         assert peak < megabytes * 2 ** 20, (report, peak)
 
@@ -612,15 +602,6 @@ def test_seq_bare_tail_line_exits_one(tmp_path):
     assert result.stderr == "error: tail period lists must be nonempty\n"
 
 
-def _traced(argv):
-    tracemalloc.start()
-    try:
-        result = run_command(argv)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _periodic_block_sum(word, phase, n, i):
     """Sum of the n values from n*i of (word[(j - phase) % p])_j: n // p whole
     periods plus the first n % p values of one, read one by one."""
@@ -641,7 +622,7 @@ def test_blocksum_costs_the_stored_size_not_n(name, monkeypatch):
     def not_called(self, j):
         raise AssertionError("at() evaluated a value")
     monkeypatch.setattr(EventuallyPeriodicSeq, "at", not_called)
-    result, peak = _traced(["seq", "blocksum", fixture(name), str(n)])
+    result, peak = traced_peak(lambda: run_command(["seq", "blocksum", fixture(name), str(n)]))
     monkeypatch.undo()
     assert (result.exit_code, result.stderr) == (0, "")
     assert peak < 2 ** 20
@@ -661,7 +642,7 @@ def test_long_coprime_tails_parse_in_their_stored_size(tmp_path):
     path = tmp_path / "coprime.seq"
     path.write_text("\n".join(["EPSEQ 1", *(" ".join(map(str, line)) for line in lines),
                                "END", ""]))
-    result, peak = _traced(["seq", "shift", str(path), "0"])
+    result, peak = traced_peak(lambda: run_command(["seq", "shift", str(path), "0"]))
     assert (result.exit_code, result.stderr) == (0, "")
     assert peak < 4 * 2 ** 20
     r = parse_seq_text(result.stdout)

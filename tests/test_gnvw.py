@@ -298,6 +298,14 @@ def test_decompose_residual_matches_the_product_residual():
         assert abs(result.residual - _product_residual(result.v, result.w, u)) <= 4e-16
 
 
+def test_leakage_beyond_tolerance_names_both_values():
+    u, leak = next((u, r.block_leakage) for u, r in block_row_cases() if r.block_leakage > 1e-9)
+    tol = leak / 2
+    with pytest.raises(NumericalError) as caught:
+        decompose(u, tol=tol)
+    assert str(caught.value) == f"off-block leakage {leak:.3e} exceeds tolerance {tol:.3e}"
+
+
 @pytest.mark.parametrize("end_periodic", [False, True])
 def test_pattern_leakage_matches_scalar_oracle(end_periodic):
     # block_leakage is the largest entry of U W* off the block pattern; only

@@ -2,7 +2,6 @@
 arithmetic over an index window wide enough that truncation cannot leak in."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from fpu.operators import (EndPeriodicOperator, PeriodicBandOperator,
                            unitarity_residual, window)
 from fpu.operators import _patched, _product_residual
 
-from conftest import dense_window
+from conftest import dense_window, traced_peak
 
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 ROT = np.array([[0.6, 0.8], [-0.8, 0.6]], dtype=complex)
@@ -267,15 +266,6 @@ def test_wide_window_over_zero_background_shrinks_without_a_dense_window():
     # only the given cell differs from a zero background: no (2R)^2 array
     op = EndPeriodicOperator(PeriodicBandOperator(1, 1, {}), 100000, {(5, -3): 0.5})
     assert op.patch_radius == 6 and op.patch == {(5, -3): 0.5}
-
-
-def traced_peak(build):
-    """build() and the tracemalloc peak, in bytes, of the call alone."""
-    tracemalloc.start()
-    try:
-        return build(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("centre", [["patch 0 0 -1 0"], []], ids=["given", "left-out"])

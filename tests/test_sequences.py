@@ -443,6 +443,27 @@ def test_divide_exact_multiple():
     assert w.b == constant(2) and w.c == ZERO
 
 
+def test_scale_and_exact_div_build_what_the_constructor_builds(monkeypatch):
+    # their values are ints computed from stored ints, so neither converts them
+    # again: with the converter broken they still match the public constructor
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        left, core, right = (rng.integers(-9, 10, size).tolist()
+                             for size in rng.integers([1, 0, 1], [5, 7, 5]))
+        a = EventuallyPeriodicSeq(left, int(rng.integers(-6, 7)), core, right)
+        ns = (int(rng.integers(-5, 0)), 0, int(rng.integers(1, 6)))
+        built = [EventuallyPeriodicSeq([n * v for v in a.left], a.offset,
+                                       [n * v for v in a.core], [n * v for v in a.right])
+                 for n in ns]
+        with monkeypatch.context() as m:
+            m.setattr("fpu.sequences._ints", lambda values: 1 / 0)
+            for n, b in zip(ns, built):
+                assert a.scale(n) == b
+                if n:
+                    assert b.exact_div(n) == a
+            assert a.scale(0) == ZERO
+
+
 def test_exact_div_rejects_a_remainder():
     assert constant(4).exact_div(2) == constant(2)
     with pytest.raises(ValidationError, match="^sequence is not divisible by 2$"):
