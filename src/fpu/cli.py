@@ -21,9 +21,12 @@ check syntax only; the operator and sequence constructors check the values.
 
 Each subcommand is declared once, in _build_parser, with its arguments and
 its handler; run_command parses with its own parser, found by its two words.
-A handler prints its report keys and returns the operators or sequences it
-produces, which run_command writes to the -o paths or prints.  Only index,
-check, decompose, retract and factor take --tol, a non-negative number.
+Plain argv (positionals and exact option strings with all their values) is
+read directly from that parser's actions; argparse reads every other argv and
+writes all help and error texts.  A handler prints its report keys and returns
+the operators or sequences it produces, which run_command writes to the -o
+paths or prints.  Only index, check, decompose, retract and factor take
+--tol, a non-negative number.
 
 Exit codes: 0 success, 1 validation error (malformed input, bad arguments),
 2 numerical failure (non-unitary operator, nonzero index, tolerance breach)
@@ -195,6 +198,59 @@ class _Parser(argparse.ArgumentParser):
         raise _Parser.Help(self.format_help())
 
 
+def _plain_reader(sub: _Parser):
+    """A reader of sub's plain argv, or None if sub has an action it cannot read.
+
+    Plain argv is positionals and exact option strings, each option followed
+    by all its values; no token but an option string starts with "-".  The
+    reader returns the Namespace that sub.parse_args returns for such argv.
+    For any other argv, or a value that its action's type refuses, it returns
+    None, and sub.parse_args gives the result, the help or the error text."""
+    if sub._mutually_exclusive_groups:
+        return None
+    positionals, options, defaults = [], {}, dict(sub._defaults)
+    for action in sub._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if (type(action) not in (argparse._StoreAction, argparse._StoreTrueAction)
+                or action.choices is not None or action.option_strings and action.required):
+            return None
+        convert = sub._registry_get("type", action.type, action.type)
+        entry = (action.dest, convert, action.nargs, action.const)
+        options.update(dict.fromkeys(action.option_strings, entry))
+        if not action.option_strings:
+            positionals.append(entry)
+        defaults[action.dest] = action.default
+
+    def read(argv):
+        values, rest, i = dict(defaults), iter(positionals), 0
+        try:
+            while i < len(argv):
+                token, i = argv[i], i + 1
+                if token[:1] != "-":  # a positional, as argparse reads it
+                    dest, convert, _, _ = next(rest)
+                    values[dest] = convert(token)
+                    continue
+                dest, convert, nargs, const = options[token]
+                count = 1 if nargs is None else nargs
+                given, i = argv[i:i + count], i + count
+                if len(given) < count or any(value[:1] == "-" for value in given):
+                    return None
+                if nargs is None:
+                    values[dest] = convert(given[0])
+                else:
+                    values[dest] = [convert(value) for value in given] if nargs else const
+        # an extra positional, another option form or a refused value: argparse's to read
+        except (StopIteration, LookupError, ValueError, TypeError,
+                argparse.ArgumentTypeError):
+            return None
+        if next(rest, None) is not None:  # a missing positional
+            return None
+        return argparse.Namespace(**values)
+
+    return read
+
+
 def _tolerance(text: str) -> float:
     try:
         tol = float(text)
@@ -349,6 +405,15 @@ def _seq_divide(args, out: _Emitter):
     return witness.b, witness.c
 
 
+def _numeric(run):
+    """run in numpy's error state of the op commands: an overflow surfaces as
+    a non-finite value, which the handlers report."""
+    def numeric(args, out: _Emitter):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run(args, out)
+    return numeric
+
+
 def _build_parser():
     parser = _Parser(prog="fpu",
                      description="Command line interface and text file formats.")
@@ -364,7 +429,7 @@ def _build_parser():
     def command(group, name, run, *positionals, tol=None, outputs=()):
         """Declare a subcommand; a positional is a name or a (name, type) pair."""
         sub = commands[group, name] = groups[group].add_parser(name, parents=[common])
-        sub.set_defaults(run=run)
+        sub.set_defaults(run=_numeric(run) if group == "op" else run)
         for spec in positionals:
             dest, kind = (spec, str) if isinstance(spec, str) else spec
             sub.add_argument(dest, type=kind)
@@ -415,21 +480,37 @@ def _build_parser():
     command("seq", "member", _seq_member, "file", outputs=("WITNESS",))
     command("seq", "equal", _seq_equal, "a", "b")
     command("seq", "divide", _seq_divide, "file", ("n", int), outputs=("B", "C"))
+    for sub in commands.values():  # run_command's reader of each one's plain argv
+        sub.read_plain = _plain_reader(sub)
     return parser, commands
 
 
 _PARSER, _COMMANDS = _build_parser()
 
 
+def _check_argv(argv) -> None:
+    """Refuse an argv that is not a list or tuple of str, naming what is not."""
+    if not isinstance(argv, (list, tuple)):
+        raise ValidationError(
+            f"argv must be a list or tuple of str, not {type(argv).__name__} {argv!r}")
+    for k, token in enumerate(argv):
+        if not isinstance(token, str):
+            raise ValidationError(
+                f"argv[{k}] must be a str, not {type(token).__name__} {token!r}")
+
+
 def run_command(argv: Sequence[str]) -> CommandResult:
     out = _Emitter(porcelain=False)
     try:
-        sub = _COMMANDS.get(tuple(argv[:2]))  # other argv: _PARSER's help and errors
-        args = sub.parse_args(list(argv[2:])) if sub else _PARSER.parse_args(list(argv))
+        _check_argv(argv)
+        sub = _COMMANDS.get(tuple(argv[:2]))
+        if sub is None:  # other argv: _PARSER's help and errors
+            args = _PARSER.parse_args(argv)
+        else:
+            rest = argv[2:]
+            args = sub.read_plain and sub.read_plain(rest) or sub.parse_args(rest)
         out = _Emitter(porcelain=args.porcelain)
-        # an overflow surfaces as a non-finite value, which the handlers report
-        with np.errstate(over="ignore", invalid="ignore"):
-            produced = args.run(args, out) or ()
+        produced = args.run(args, out) or ()
         texts = [serialize_operator(x) if isinstance(x, Operator) else serialize_seq(x)
                  for x in produced]
         _write_outputs(out, getattr(args, "output", None), texts)
@@ -448,8 +529,15 @@ def run_command(argv: Sequence[str]) -> CommandResult:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     result = run_command(sys.argv[1:] if argv is None else argv)
-    if result.stdout:
+    try:
         sys.stdout.write(result.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        try:
+            sys.stderr.write(f"error: cannot write stdout: {exc}\n")
+        except OSError:
+            pass
+        return 1
     if result.stderr:
         sys.stderr.write(result.stderr)
     return result.exit_code

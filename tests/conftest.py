@@ -1,8 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from fpu.cli import run_command
 from fpu.operators import Operator
 from fpu.sequences import EventuallyPeriodicSeq
 
@@ -37,6 +39,20 @@ def traced_peak(build):
         return build(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def cost_exponent(make_argv, sizes):
+    """The exponent e of a traced peak that grows as size ** e, read from one
+    run_command(make_argv(size)) at each of the two sizes, after an untraced
+    run that pays the one-time allocations.  Each run must exit 0."""
+    peaks = []
+    for size in sizes:
+        argv = make_argv(size)
+        run_command(argv)
+        result, peak = traced_peak(lambda: run_command(argv))
+        assert (result.exit_code, result.stderr) == (0, ""), argv
+        peaks.append(peak)
+    return math.log(peaks[1] / peaks[0]) / math.log(sizes[1] / sizes[0])
 
 
 @pytest.fixture

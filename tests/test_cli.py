@@ -1,11 +1,14 @@
 """CLI contract tests: exit codes, golden files, round trips, determinism."""
 
 import argparse
+import errno
 import os
 import pathlib
+import random
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -23,7 +26,7 @@ from fpu.matutil import haar_unitary
 from fpu.operators import EndPeriodicOperator, PeriodicBandOperator, embed_finite
 from fpu.sequences import EventuallyPeriodicSeq
 
-from conftest import traced_peak
+from conftest import cost_exponent, traced_peak
 from golden_cases import GOLDEN_CASES, resolve_argv
 
 TESTS_DIR = pathlib.Path(__file__).parent
@@ -667,6 +670,58 @@ def test_python_dash_m_runs_the_cli(flags):
             code, expected.stdout, expected.stderr)
 
 
+# -- cost laws ------------------------------------------------------------------------
+# The traced peak of each command family grows as size ** e with e under its
+# ceiling: a cost that follows a size given in the input rather than the data
+# the command holds breaks its law.
+
+def _far_core(tmp_path, d):
+    """seq equal of a core at offset d against delta0.seq: the tails decide it."""
+    path = tmp_path / f"far{d}.seq"
+    path.write_text(f"EPSEQ 1\nleft 0\ncore {d} 5 -5\nright 0\nEND\n")
+    return ["seq", "equal", str(path), fixture("delta0.seq")]
+
+
+def _padded_identity(tmp_path, radius):
+    """op adjoint -o of the identity written out to the radius, -1 at (0, 0):
+    its patch shrinks to radius 1."""
+    path = tmp_path / f"padded{radius}.op"
+    lines = ["FPUOP 1", "period 1", "band 0", f"patch-radius {radius}", "bg 0 0 1.0 0.0"]
+    lines += [f"patch {i} {i} {-1.0 if i == 0 else 1.0} 0.0" for i in range(-radius, radius)]
+    path.write_text("\n".join(lines + ["END", ""]))
+    return ["op", "adjoint", str(path), "-o", str(tmp_path / "adjoint.op")]
+
+
+COST_LAWS = {
+    "blocksum-n": (lambda tmp_path, n: ["seq", "blocksum", fixture("delta0.seq"), str(n)],
+                   (10 ** 3, 10 ** 6), 0.1),
+    "equal-offset": (_far_core, (10 ** 3, 10 ** 6), 0.1),
+    "apply-index": (lambda tmp_path, j: ["op", "apply", fixture("rot.op"), "--delta", str(j)],
+                    (10, 10 ** 12), 0.1),
+    "adjoint-padded-radius": (_padded_identity, (150, 600), 1.2),  # linear in its lines
+}
+
+
+@pytest.mark.parametrize("law", sorted(COST_LAWS))
+def test_cost_law(tmp_path, law):
+    make_argv, sizes, ceiling = COST_LAWS[law]
+    assert cost_exponent(lambda size: make_argv(tmp_path, size), sizes) <= ceiling
+
+
+def test_blocksum_time_does_not_follow_n():
+    # a block sum of n values needs no memory, so its law is a time ratio: about
+    # 1 from partial sums, about 1000 from summing every value
+    def fastest(n):
+        argv = ["seq", "blocksum", fixture("delta0.seq"), str(n)]
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            assert run_command(argv).exit_code == 0
+            times.append(time.perf_counter() - start)
+        return min(times)
+    assert fastest(10 ** 6) < 8 * fastest(10 ** 3)
+
+
 # -- the README's command list ---------------------------------------------------
 
 CHECKING_COMMANDS = {("op", name) for name in
@@ -737,6 +792,10 @@ def test_each_subcommand_is_looked_up_by_its_two_words():
     assert set(COMMAND_ARGV) == _declared_commands() == set(cli._COMMANDS)
     for (group, name), parser in cli._COMMANDS.items():
         assert parser.prog == f"fpu {group} {name}"
+    # synth has a required option and apply an exclusive group of an append
+    # action: argparse reads all their argv
+    assert {key for key, parser in cli._COMMANDS.items() if parser.read_plain is None} == {
+        ("op", "synth"), ("op", "apply")}
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_ARGV), ids=" ".join)
@@ -747,12 +806,93 @@ def test_direct_dispatch_matches_the_nested_parser(command, monkeypatch):
              valid + ["extra"], ["-h"], valid + ["-h"], valid + ["--porcelain"]]
     cases += [resolve_argv(bad_int, FIXTURES)] if bad_int else []
     direct = [run_command([*command, *argv]) for argv in cases]
+    assert run_command((*command, *valid)) == direct[0]  # a tuple reads as its list
+    monkeypatch.setattr(cli._COMMANDS[command], "read_plain", None)  # argparse reads all
+    assert [run_command([*command, *argv]) for argv in cases] == direct
     monkeypatch.setattr(cli, "_COMMANDS", {})  # every argv goes through _PARSER
     assert [run_command([*command, *argv]) for argv in cases] == direct
     # the valid argv runs, no arguments is an error, -h prints the command's usage
     assert direct[0].exit_code == 0 and direct[-1].exit_code == (1 if bad_int else 0)
     assert direct[1].exit_code == 1 and direct[6].stdout.startswith(
         f"usage: fpu {' '.join(command)} ")
+
+
+# tokens of fuzzed argv: positionals of every type, and every option form
+# argparse reads, exact, abbreviated, with "=", or bare dashes
+FUZZ_TOKENS = [fixture("delta0.seq"), fixture("shift1.op"), "out.seq", "0", "3", "17",
+               "-2", "-40", "0.5", "1e-9", "-1.5", "nan", "inf", "", " -o", "-", "--",
+               "-o", "--output", "--out", "--tol", "--tol=1", "--porcelain", "--porc", "-h"]
+
+
+@pytest.mark.parametrize("command", sorted(
+    key for key, parser in cli._COMMANDS.items() if parser.read_plain), ids=" ".join)
+def test_plain_reader_returns_what_argparse_returns(command):
+    # the reader never raises, and each Namespace it returns is argparse's
+    sub, rng, read = cli._COMMANDS[command], random.Random(" ".join(command)), 0
+    for _ in range(3000):
+        argv = rng.choices(FUZZ_TOKENS, k=rng.randint(0, 7))
+        args = sub.read_plain(argv)
+        if args is not None:
+            assert vars(args) == vars(sub.parse_args(argv)), argv
+            read += 1
+    valid = resolve_argv(COMMAND_ARGV[command][0], FIXTURES)
+    for argv in (valid, ["--porcelain", *valid]):  # the common forms are read
+        assert vars(sub.read_plain(argv)) == vars(sub.parse_args(argv))
+    assert read >= 10
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["seq", "blocksum", "tests/fixtures/delta0.seq", 3], "argv[3] must be a str, not int 3"),
+    (["op", "index", "tests/fixtures/shift1.op", "--tol", 1e-3],
+     "argv[4] must be a str, not float 0.001"),
+    (["seq", "member", b"delta0.seq"], "argv[2] must be a str, not bytes b'delta0.seq'"),
+    ("seq", "argv must be a list or tuple of str, not str 'seq'"),
+], ids=["int", "float", "bytes", "str"])
+def test_argv_not_a_list_of_str_exits_one_naming_the_bad_item(argv, message):
+    assert run_command(argv) == CommandResult(exit_code=1, stdout="",
+                                              stderr=f"error: {message}\n")
+
+
+def test_only_op_commands_enter_numpys_error_state(tmp_path, monkeypatch):
+    entered, errstate = [], np.errstate
+
+    def recorded(**kwargs):
+        entered.append(kwargs)
+        return errstate(**kwargs)
+    monkeypatch.setattr(np, "errstate", recorded)
+    for (group, name), (valid, _) in COMMAND_ARGV.items():
+        if group == "seq":
+            result = run_command([group, name, *resolve_argv(valid, FIXTURES)])
+            assert (result.exit_code, result.stderr) == (0, ""), name
+    assert entered == []
+    # the squares of these finite entries overflow: exit 2, and numpy does not warn
+    path = tmp_path / "big.op"
+    path.write_text("FPUOP 1\nperiod 1\nband 1\nbg 0 0 1e200 0\nbg 0 1 1e200 0\nEND\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_command(["op", "check", str(path)])
+    assert result.exit_code == 2 and result.stderr.count("\n") == 1
+    assert entered == [{"over": "ignore", "invalid": "ignore"}]
+
+
+class _FullStream:
+    """A stream on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+def test_a_failed_stdout_write_exits_one(monkeypatch, capsys):
+    argv = ["op", "index", fixture("shift1.op")]
+    monkeypatch.setattr(sys, "stdout", _FullStream())
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write stdout: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    monkeypatch.setattr(sys, "stderr", _FullStream())  # nothing left to report on
+    assert cli.main(argv) == 1
 
 
 @pytest.mark.parametrize("argv,code,stdout,stderr", [
