@@ -94,18 +94,13 @@ def serialize_operator(op: Operator) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_int(token: str, lineno: int) -> int:
+def _parse(kind, token: str, lineno: int):
+    """kind(token), kind int or float; a token it refuses is named."""
     try:
-        return int(token)
+        return kind(token)
     except ValueError:
-        raise ValidationError(f"line {lineno}: expected integer, got {token!r}")
-
-
-def _parse_float(token: str, lineno: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ValidationError(f"line {lineno}: expected number, got {token!r}")
+        noun = "integer" if kind is int else "number"
+        raise ValidationError(f"line {lineno}: expected {noun}, got {token!r}")
 
 
 def _content_lines(text: str, header: str):
@@ -142,7 +137,7 @@ def parse_seq_text(text: str) -> EventuallyPeriodicSeq:
         try:
             values[key] = tuple(map(int, rest))
         except ValueError:  # name the first token that is not an integer
-            values[key] = [_parse_int(t, lineno) for t in rest]
+            values[key] = [_parse(int, t, lineno) for t in rest]
     if len(values) < 3:
         raise ValidationError("sequence file needs left, core and right lines")
     core = values["core"]  # the tokens are Python ints already: no second conversion
@@ -163,7 +158,7 @@ def parse_operator_text(text: str) -> Operator:
                 raise ValidationError(f"line {lineno}: duplicate {key} line")
             if len(rest) != 1:
                 raise ValidationError(f"line {lineno}: {key} needs one integer")
-            sizes[key] = _parse_int(rest[0], lineno)
+            sizes[key] = _parse(int, rest[0], lineno)
         elif key in cells:
             if len(rest) != 4:
                 raise ValidationError(f"line {lineno}: {key} needs {_CELL_FIELDS[key]}")
@@ -171,11 +166,11 @@ def parse_operator_text(text: str) -> Operator:
                 cell = (int(rest[0]), int(rest[1]))
                 value = complex(float(rest[2]), float(rest[3]))
             except ValueError:  # a bad token is named, a bad number after a duplicate cell
-                cell, value = (_parse_int(rest[0], lineno), _parse_int(rest[1], lineno)), None
+                cell, value = (_parse(int, rest[0], lineno), _parse(int, rest[1], lineno)), None
             if cell in cells[key]:
                 raise ValidationError(f"line {lineno}: duplicate {key} entry {cell}")
             if value is None:
-                value = complex(_parse_float(rest[2], lineno), _parse_float(rest[3], lineno))
+                value = complex(_parse(float, rest[2], lineno), _parse(float, rest[3], lineno))
             cells[key][cell] = value
         else:
             raise ValidationError(f"line {lineno}: unknown directive {key!r}")

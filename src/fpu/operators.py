@@ -457,8 +457,20 @@ def _excess(product: np.ndarray, target) -> float:
 # the background block may compare every one of its cells.
 
 def max_entry_difference(a: Operator, b: Operator) -> float:
-    """sup |a_ij - b_ij|, exactly, as the _product_residual of a I against b."""
-    return _product_residual(a, identity(), b)
+    """sup |a_ij - b_ij|, exactly: over the diagonals of one common period out
+    to the wider reach, and over the square of the larger patch radius; a's
+    values at or below ZERO_TOL read as 0."""
+    a0, b0 = a.background, b.background
+    n, w = lcm(a0.period, b0.period), max(a0.reach, b0.reach)
+    rows = np.arange(n)[:, None]
+    diagonals = rows + np.arange(-w, w + 1)
+    residual = _excess(window(a0, rows, diagonals), window(b0, rows, diagonals))
+    radius = max(a.patch_radius, b.patch_radius)
+    if not radius:
+        return residual
+    cells = np.arange(-radius, radius)
+    return max(residual, _excess(window(a, cells[:, None], cells),
+                                 window(b, cells[:, None], cells)))
 
 
 def _product_residual(a: Operator, b: Operator, c: Operator) -> float:

@@ -2,11 +2,15 @@
 
     python tests/abtime.py OLD NEW --workload factorize --seed 13 --passes 50
 
-OLD and NEW are checkouts, each holding src/fpu. Both trees' fpu are loaded
-side by side: each is imported with its src first on sys.path, and every fpu
-module is cleared from sys.modules before the next tree is imported. The
+OLD and NEW are checkouts, each holding src/fpu. Each tree's package is
+imported once, by path, under its own name (fpu_a for OLD, fpu_b for NEW), so
+both stay loaded side by side for the whole run and each resolves its own
+relative imports, at import time or inside a handler. The library must
+therefore never import fpu by its absolute name: that import would reach the
+plain fpu on sys.path, OLD's, and NEW would silently run OLD's code. The
 workload's script is built once, in a temporary directory, by
-perfbench/workloads.py with OLD's fpu; that file is only read.
+perfbench/workloads.py, imported with OLD's src first on sys.path; that file
+is only read.
 
 First each command runs once on each tree. The timer exits 1 if an exit code,
 stdout, stderr or written file differs between the trees, or if a result
@@ -17,7 +21,10 @@ host's slow phases hit both trees alike. A command's time is its fastest over
 the passes. For each tree it prints p50 and p90 of those times in ms and
 cmds_per_s, computed as perfbench/run.py computes them, then the median over
 commands, and over each kind of command, of the speedup OLD time / NEW time.
-Not collected by pytest.
+
+A claim of a few percent needs runs in both orders, OLD NEW and NEW OLD: one
+order of this timer once read a ~2% speedup that an A/A run of one tree did
+not show. Not collected by pytest.
 """
 
 import os
@@ -28,7 +35,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import importlib  # noqa: E402
+import importlib.util  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -38,22 +45,17 @@ from pathlib import Path  # noqa: E402
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _import_cli(tree):
-    """tree's fpu.cli, imported with tree/src first on sys.path."""
-    src = Path(tree, "src").resolve()
-    sys.path.insert(0, str(src))
-    try:
-        cli = importlib.import_module("fpu.cli")
-    finally:
-        sys.path.remove(str(src))
-    if Path(cli.__file__).resolve().parents[1] != src:
-        sys.exit(f"error: imported fpu from {cli.__file__}, not {src}")
-    return cli
-
-
-def _forget_fpu():
-    for name in [m for m in sys.modules if m == "fpu" or m.startswith("fpu.")]:
-        del sys.modules[name]
+def _load_cli(tree, name):
+    """The cli module of tree/src/fpu, whose package is imported as `name`."""
+    package = Path(tree, "src", "fpu").resolve()
+    init = package / "__init__.py"
+    if not init.is_file():
+        sys.exit(f"error: {tree} has no src/fpu/__init__.py")
+    spec = importlib.util.spec_from_file_location(name, init,
+                                                  submodule_search_locations=[str(package)])
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+    return importlib.import_module(f"{name}.cli")
 
 
 def _run(cli, cmd):
@@ -119,13 +121,9 @@ def main():
     parser.add_argument("--passes", type=int, default=50)
     args = parser.parse_args()
 
-    old = _import_cli(args.old)
-    sys.path.insert(0, str(PERFBENCH))
-    import workloads  # builds the script with OLD's fpu, imported above
-    _forget_fpu()
-    new = _import_cli(args.new)
-    _forget_fpu()
-    clis = (old, new)
+    clis = (_load_cli(args.old, "fpu_a"), _load_cli(args.new, "fpu_b"))
+    sys.path[:0] = [str(Path(args.old, "src").resolve()), str(PERFBENCH)]
+    import workloads  # builds the script with OLD's fpu
 
     with tempfile.TemporaryDirectory() as tmp:
         script = workloads.build(args.workload, args.seed, Path(tmp))

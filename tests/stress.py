@@ -32,11 +32,16 @@ The files:
 run.  `seq blocksum` runs on delta0 with n = 1000000 and on core-30000 with
 n = 7 (about 4,300 block boundaries inside the core), `seq reduce3` and
 `seq alpha` on core-30000 and `seq shift 0` on tails-3001+2999.  For each
-command and tree the table shows the median wall seconds and peak resident
-MB of 3 runs, and with --traced the tracemalloc peak MB of one more run.  The
-peak is the child's own `VmHWM` from /proc/self/status, which exec starts
-afresh; `ru_maxrss` would carry the larger peak of this script's process
-across fork and exec.  Linux only.  Not collected by pytest.
+command and tree the table shows, as medians of 3 runs, the seconds of the
+`run_command` call in the child (`s`), the child's whole wall time as this
+script measures it around `subprocess.run` (`wall`: interpreter start,
+imports and the command) and its peak resident MB, and with --traced the
+tracemalloc peak MB of one more run.  A first `bare` row times
+`python -c pass` in the same alternation, so `wall` less `bare` less `s` is
+what importing fpu costs a command.  The peak is the child's own `VmHWM`
+from /proc/self/status, which exec starts afresh; `ru_maxrss` would carry
+the larger peak of this script's process across fork and exec.  Linux only.
+Not collected by pytest.
 """
 
 import argparse
@@ -47,6 +52,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -129,12 +135,21 @@ def files():
 
 
 def _run(src, traced, argv):
-    if "-o" in argv:  # time writing a new file, not overwriting the last run's
+    """CHILD's four values for one run of argv, then the child's wall seconds;
+    argv None runs `python -c pass`, whose four values are None."""
+    child = ["pass"] if argv is None else [CHILD, "traced" if traced else "plain", *argv]
+    if argv and "-o" in argv:  # time writing a new file, not overwriting the last run's
         pathlib.Path(argv[-1]).unlink(missing_ok=True)
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(src).resolve()))
-    out = subprocess.run([sys.executable, "-c", CHILD, "traced" if traced else "plain", *argv],
-                         env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-c", *child], env=env, capture_output=True, text=True,
+                         check=True)
+    wall = time.perf_counter() - start
+    return (json.loads(out.stdout) if argv else [None] * 4) + [wall]
+
+
+def _column(value, digits):
+    return f"{value:7.{digits}f}" if value is not None else f"{'-':>7}"
 
 
 def main():
@@ -150,23 +165,28 @@ def main():
             suffix = ".seq" if text.startswith("EPSEQ") else ".op"
             paths[name] = pathlib.Path(tmp, name.replace("^", "").replace("+", "-") + suffix)
             paths[name].write_text(text)
-        print(f"{'command':<26} {'src':<28} {'s':>7} {'MB':>7}"
+        print(f"{'command':<26} {'src':<28} {'s':>7} {'wall':>7} {'MB':>7}"
               + (f" {'peak':>7}" if args.traced else ""))
-        for group, command, name, *rest in RUNS:
-            argv = [group, command, str(paths[name]), *rest]
-            argv += ["-o", str(pathlib.Path(tmp, "out.op"))] if command == "adjoint" else []
+        for run in [None, *RUNS]:  # None: the bare interpreter
+            if run is None:
+                argv, label = None, "bare"
+            else:
+                group, command, name, *rest = run
+                argv = [group, command, str(paths[name]), *rest]
+                argv += ["-o", str(pathlib.Path(tmp, "out.op"))] if command == "adjoint" else []
+                label = " ".join([command, name, *rest])
             samples = {src: [] for src in args.src}
             for _ in range(3):  # alternate the trees so drift hits each alike
                 for src in args.src:
                     samples[src].append(_run(src, False, argv))
             for src, runs in samples.items():
-                seconds = statistics.median(run[0] for run in runs)
-                rss = statistics.median(run[1] for run in runs)
-                label = " ".join([command, name, *rest])
-                row = f"{label:<26} {src[-28:]:<28} {seconds:7.3f} {rss:7.1f}"
+                seconds, rss, _, _, wall = (None if None in column else statistics.median(column)
+                                            for column in zip(*runs))
+                row = " ".join([f"{label:<26} {src[-28:]:<28}", _column(seconds, 3),
+                                _column(wall, 3), _column(rss, 1)])
                 if args.traced:
-                    row += f" {_run(src, True, argv)[2]:7.1f}"
-                codes = sorted({run[3] for run in runs} - {0})
+                    row += " " + _column(argv and _run(src, True, argv)[2], 1)
+                codes = sorted({run[3] for run in runs} - {0, None})
                 print(row + (f"  exit {codes}" if codes else ""), flush=True)
 
 

@@ -2,6 +2,7 @@
 arithmetic over an index window wide enough that truncation cannot leak in."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -595,6 +596,18 @@ def test_product_residual_matches_the_built_product(rng):
         built = max_entry_difference(multiply(a, b), c)
         assert abs(_product_residual(a, b, c) - built) <= 1e-15
     assert _product_residual(big, identity(), moved) > 1e-9
+
+
+def test_equality_costs_the_band_not_the_period_squared():
+    # a == a on a diagonal of n phases compares n diagonal cells; a product by
+    # the identity would fill an n x n window.  Traced peak exponent in n.
+    def compared(n):
+        op = PeriodicBandOperator(n, 0, {(i, 0): np.exp(2j * np.pi * i / n) for i in range(n)})
+        op == op  # pays the one-time allocations untraced
+        return traced_peak(lambda: op == op)
+    (small_equal, small), (large_equal, large) = compared(375), compared(750)
+    assert small_equal and large_equal
+    assert math.log(large / small) / math.log(750 / 375) <= 1.1, (small, large)
 
 
 # -- corners -----------------------------------------------------------------------------
