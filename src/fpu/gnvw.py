@@ -25,7 +25,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .matutil import haar_unitary, polar_unitary
 from .operators import (CHECK_TOL, ZERO_TOL, Operator, PeriodicBandOperator, _envelope,
-                        _excess, _patched, _product_residual, _rows_product,
+                        _excess, _patched, _rows_product,
                         block_diagonal, delta_embed, embed_finite, identity, make_shift,
                         multiply, propagation, require_unitary, window)
 from .sequences import _index
@@ -125,10 +125,10 @@ def conjugating_unitary(q_window: np.ndarray, half: int) -> np.ndarray:
     if q.shape != (n, n):
         raise ValidationError(f"window matrix must be {n}x{n}")
     herm = 0.5 * (q + q.conj().T)
-    if np.max(np.abs(q - herm)) > HARD_TOL:
+    if not np.max(np.abs(q - herm)) <= HARD_TOL:  # a NaN fails every gate
         raise NumericalError("window matrix is not Hermitian")
     eigenvalues, vectors = np.linalg.eigh(herm)
-    if np.max(np.minimum(np.abs(eigenvalues), np.abs(eigenvalues - 1.0))) > HARD_TOL:
+    if not np.max(np.minimum(np.abs(eigenvalues), np.abs(eigenvalues - 1.0))) <= HARD_TOL:
         raise NumericalError("window matrix is not a projection")
     rank = int(np.count_nonzero(eigenvalues > 0.5))
     if rank != half:
@@ -151,23 +151,24 @@ def _block_scale(op: Operator) -> int:
     return -(-max(propagation(op), op.patch_radius, 1) // step) * step
 
 
-def _snap_block(m: np.ndarray):
-    """Project a nearly unitary block onto the unitary group; reject junk.
-    Returns the block and the Frobenius norm of its m* m - I, which equals
-    that of m m* - I and bounds every entry of both."""
-    defect = float(np.max(np.abs(gram := m.conj().T @ m - np.eye(len(m)))))
-    if defect > HARD_TOL:
+def _snap_blocks(stack: np.ndarray):
+    """Project a stack of nearly unitary blocks onto the unitary group, in
+    place; reject junk.  Returns the stack and each block's Frobenius norm of
+    m* m - I, which equals that of m m* - I and bounds every entry of both."""
+    gram = stack.conj().swapaxes(-1, -2) @ stack - (eye := np.eye(stack.shape[-1]))
+    defects = np.abs(gram).max(axis=(-2, -1))
+    if (far := np.flatnonzero(~(defects <= HARD_TOL))).size:
         raise NumericalError(
-            f"extracted block is far from unitary (defect {defect:.3e})")
-    if defect > SNAP_TOL:
-        m = polar_unitary(m)
-        gram = m.conj().T @ m - np.eye(len(m))
-    return m, float(np.linalg.norm(gram))
+            f"extracted block is far from unitary (defect {defects[far[0]]:.3e})")
+    for k in np.flatnonzero(defects > SNAP_TOL):
+        stack[k] = polar_unitary(stack[k])
+        gram[k] = stack[k].conj().T @ stack[k] - eye
+    return stack, [float(np.linalg.norm(g)) for g in gram]
 
 
 def _within(what: str, value: float, tol: float) -> float:
     """value, or NumericalError naming what when it exceeds tol."""
-    if value > tol:
+    if not value <= tol:
         raise NumericalError(f"{what} {value:.3e} exceeds tolerance {tol:.3e}")
     return value
 
@@ -195,9 +196,9 @@ def decompose(op: Operator, tol: float = CHECK_TOL) -> DecompositionResult:
     # W's eigenvector blocks: the background's tile the grid offset by -half,
     # and an end-periodic op replaces the block over its patch
     bg = op.background
-    w_blocks, w_norms = zip(*(
-        _snap_block(conjugating_unitary(_projection_window(u, half), half).conj().T)
-        for u in ([bg] if op is bg else [bg, op])))
+    w_blocks, w_norms = _snap_blocks(np.stack([
+        conjugating_unitary(_projection_window(u, half), half).conj().T
+        for u in ([bg] if op is bg else [bg, op])]))
     w_bg, w_central = w_blocks[0], dict(zip([0], w_blocks[1:]))
     w_op = block_diagonal(-half, w_bg, central=w_central)
 
@@ -207,31 +208,30 @@ def decompose(op: Operator, tol: float = CHECK_TOL) -> DecompositionResult:
     rows = [0] if op is bg else [-1, 0, 1]
     starts = np.array(rows) * block
     cols = starts[:, None] - half + np.array([0, block])  # W's blocks m and m + 1
-    v_raw = _tiles(op, starts[:, None], cols, block)  # read before W*'s stack, as large
-    v_raw = v_raw @ np.array([[w_central.get(m + k, w_bg) for k in range(2)]
-                              for m in rows]).conj().swapaxes(-1, -2)
+    u = _tiles(op, starts[:, None], cols, block)  # read before W*'s stack, as large
+    v_raw = u @ np.array([[w_central.get(m + k, w_bg) for k in range(2)]
+                          for m in rows]).conj().swapaxes(-1, -2)
     v_raw[np.abs(v_raw) <= ZERO_TOL] = 0  # as a built product stores them
     # V's block m is the middle b columns of block-row m, and the rest leaks
     leakage = _within("off-block leakage", float(max(np.abs(v_raw[:, 0, :, :half]).max(),
                                                      np.abs(v_raw[:, 1, :, half:]).max())), tol)
     v_blocks = np.concatenate([v_raw[:, 0, :, half:], v_raw[:, 1, :, :half]], axis=2)
-    del v_raw  # free the largest arrays before v_op and the residual are built
-    v_blocks, norms = zip(*map(_snap_block, v_blocks))
+    del v_raw  # free the largest arrays before V's blocks are checked
+    v_blocks, norms = _snap_blocks(v_blocks)
     v_op = block_diagonal(0, v_blocks[-1], central=dict(zip(rows[:-1], v_blocks)))
-    del v_blocks
+    del v_blocks, w_blocks, w_bg, w_central  # the residual reads both factors back
 
-    # VW's block-row m is V's block m times W's rows [m b, (m+1) b): the
-    # lower half of W's block m and the upper half of its block m + 1
-    v, w = _tiles(v_op, starts, starts, block), _tiles(w_op, cols, cols, block)
-    vw = np.empty((len(rows), 2, block, block), dtype=complex)
-    np.matmul(v[:, :, :half], w[:, 0, half:], out=vw[:, 0])
-    np.matmul(v[:, :, half:], w[:, 1, :half], out=vw[:, 1])
-    del v, w
+    # VW's block-row m is V's block m times W's rows [m b, (m+1) b): V's left
+    # half by the lower half of W's block m, its right half by the upper half
+    # of W's block m + 1, each compared with the same tile of U read above
+    w_starts = np.arange(rows[0], rows[-1] + 2) * block - half  # W's distinct blocks
+    v, w = _tiles(v_op, starts, starts, block), _tiles(w_op, w_starts, w_starts, block)
     residual = _within("reconstruction residual",
-                       _excess(vw, _tiles(op, starts[:, None], cols, block)), tol)
+                       max(_excess(v[:, :, :half] @ w[:-1, half:], u[:, 0]),
+                           _excess(v[:, :, half:] @ w[1:, :half], u[:, 1])), tol)
     # both factors are block diagonal, so |VV* - I| and |V*V - I| are at most
     # the largest Frobenius defect of their distinct blocks
-    _within("factor unitarity residual", max(*norms, *w_norms), tol)
+    _within("factor unitarity residual", max(norms + w_norms), tol)
     return DecompositionResult(v=v_op, w=w_op, block_size=block,
                                residual=residual, block_leakage=leakage)
 
@@ -255,7 +255,12 @@ def factor_end_periodic(op: Operator, tol: float = CHECK_TOL) -> EndPeriodicSpli
     finite_part = (_patched(identity(), _rows_product(op, star, cells, cells))
                    if radius else identity())
 
-    residual = _within("split residual", _product_residual(finite_part, periodic_part, op), tol)
+    # the band of F B - U is that of I B - B, exactly 0.0: only the square can differ
+    radius = max(_envelope(finite_part, periodic_part), op.patch_radius)
+    cells = np.arange(-radius, radius)
+    square = (_excess(_rows_product(finite_part, periodic_part, cells, cells),
+                      window(op, cells[:, None], cells)) if radius else 0.0)
+    residual = _within("split residual", square, tol)
     return EndPeriodicSplit(finite_part=finite_part,
                             periodic_part=periodic_part, residual=residual)
 

@@ -361,9 +361,9 @@ def block_diagonal(k: int, repeating: np.ndarray,
     bg = delta_embed(repeating, k)
     if not central:
         return bg
-    # a cell off the central blocks is the background's: compare only theirs
+    # compare only the central blocks, with repeating as bg stores it: bg owns every other cell
     size, idx, blocks = bg.period, np.arange(bg.period), []
-    stored = window(bg, k + idx[:, None], k + idx)
+    stored = np.where(_validated(rep := np.asarray(repeating, dtype=complex)), rep, 0)
     for n, m in sorted(central.items(), key=lambda item: int(item[0])):
         if np.shape(m) != (size, size):
             raise ValidationError(f"central block {n} is not {size}x{size}")

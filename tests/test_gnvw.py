@@ -2,23 +2,26 @@
 brute-force multiplication over verification windows; block membership of the
 factors is asserted structurally, never through specific matrix entries."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpu import gnvw
+from fpu import gnvw, operators
 from fpu.cli import serialize_operator
 from fpu.errors import NumericalError, ValidationError
-from fpu.gnvw import (SNAP_TOL, _snap_block, conjugating_unitary, decompose,
+from fpu.gnvw import (SNAP_TOL, _snap_blocks, conjugating_unitary, decompose,
                       factor_end_periodic, index, retract_periodic, synth_random)
 from fpu.matutil import haar_unitary, polar_unitary
 from fpu.operators import (EndPeriodicOperator, PeriodicBandOperator, _patched,
-                           _product_residual, block_diagonal, delta_embed,
+                           _product_residual, _rows_product, block_diagonal, delta_embed,
                            embed_finite, identity, make_shift, max_entry_difference,
                            multiply, propagation, unitarity_residual, window)
 
-from conftest import dense_window
+from conftest import dense_window, traced_peak
 
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -326,17 +329,52 @@ def test_pattern_leakage_matches_scalar_oracle(end_periodic):
     assert min(leaks) == 0.0 and (max(leaks) > 1e-9) == end_periodic
 
 
-def test_snap_block_returns_the_frobenius_defect_of_its_block(rng):
-    m = haar_unitary(6, rng)
-    kept, norm = _snap_block(m)
-    assert kept is m
-    assert norm == np.linalg.norm(m.conj().T @ m - np.eye(6))
-    snapped, norm = _snap_block(m * (1 + 1e-9))
-    assert unitary_defect(m * (1 + 1e-9)) > SNAP_TOL
-    assert np.array_equal(snapped, polar_unitary(m * (1 + 1e-9)))
-    assert norm == np.linalg.norm(snapped.conj().T @ snapped - np.eye(6))
-    with pytest.raises(NumericalError, match="far from unitary"):
-        _snap_block(m * (1 + 1e-3))
+def test_snap_block_returns_the_frobenius_defect_of_its_block(rng, monkeypatch):
+    stack = np.stack([haar_unitary(6, rng) for _ in range(3)])
+    kept, norms = _snap_blocks(stack)
+    assert kept is stack
+    assert norms == [np.linalg.norm(m.conj().T @ m - np.eye(6)) for m in stack]
+    snapped = []
+    monkeypatch.setattr(gnvw, "polar_unitary",
+                        lambda m: snapped.append(m.copy()) or polar_unitary(m))
+    near = stack.copy()
+    near[1] *= 1 + 1e-9
+    assert unitary_defect(near[1]) > SNAP_TOL
+    result, norms = _snap_blocks(near.copy())
+    assert len(snapped) == 1 and np.array_equal(snapped[0], near[1])
+    assert np.array_equal(result[[0, 2]], stack[[0, 2]])
+    assert np.array_equal(result[1], polar_unitary(near[1]))
+    assert norms == [np.linalg.norm(m.conj().T @ m - np.eye(6)) for m in result]
+    far = stack.copy()
+    far[2] *= 1 + 1e-3
+    with pytest.raises(NumericalError, match=(
+            rf"^extracted block is far from unitary \(defect {unitary_defect(far[2]):.3e}\)$")):
+        _snap_blocks(far)
+
+
+def test_gates_refuse_nan():
+    # each gate is written as "not value <= tol", which a NaN fails
+    with pytest.raises(NumericalError, match="^x nan exceeds tolerance 1.000e[+]00$"):
+        gnvw._within("x", float("nan"), 1.0)
+    with pytest.raises(NumericalError, match=r"far from unitary \(defect nan\)$"):
+        _snap_blocks(np.full((1, 2, 2), np.nan, dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^window matrix is not Hermitian$"):
+            conjugating_unitary(np.full((2, 2), np.nan), 1)
+
+
+@pytest.mark.parametrize("patch_blocks", [0, 1], ids=["periodic", "end-periodic"])
+def test_decompose_reads_its_input_three_times(patch_blocks, monkeypatch):
+    # the index window, the projection window and one read of the block-rows,
+    # which gives both V's blocks and the target of the residual
+    op = synth_random(0, 2, 2, patch_blocks, seed=3)
+    assert bool(op.patch_radius) == bool(patch_blocks)
+    reads = []
+    monkeypatch.setattr(gnvw, "window", lambda u, rows, cols: reads.append(u is op)
+                        or window(u, rows, cols))
+    check_decomposition(op, decompose(op))
+    assert sum(reads) == 3
 
 
 def test_decompose_wrapped_periodic_matches_periodic(rng):
@@ -447,6 +485,40 @@ def test_factor_keeps_the_patch_of_the_whole_product(end_periodic, rng):
         assert split.residual == _product_residual(finite, op.background, op)
         if not end_periodic:
             assert serialize_operator(split.finite_part) == serialize_operator(identity())
+
+
+
+def phases_under_a_patch(n, rng):
+    """The period-n diagonal of unit phases times a Haar 8 x 8 patch: radius 4."""
+    phases = {(i, 0): np.exp(2j * np.pi * i / n) for i in range(n)}
+    return multiply(PeriodicBandOperator(n, 0, phases), embed_finite(haar_unitary(8, rng)))
+
+
+def test_factor_multiplies_nothing_by_the_identity(monkeypatch, rng):
+    # the band of F B - U is I B - B: the split compares the square alone
+    op, lefts = phases_under_a_patch(12, rng), []
+
+    def counted(a, b, rows, cols):
+        lefts.append(a)
+        return _rows_product(a, b, rows, cols)
+    for module in (gnvw, operators):
+        monkeypatch.setattr(module, "_rows_product", counted)
+    split = factor_end_periodic(op)
+    assert split.finite_part.patch_radius and len(lefts) == 2
+    assert not any(a is identity() for a in lefts)
+
+
+def test_factor_costs_the_patch_not_the_period_squared(monkeypatch, rng):
+    # with the unitarity check stubbed (the background's Gram costs n^2 on its
+    # own), the split costs the adjoint's band and the square of the patch
+    monkeypatch.setattr(gnvw, "require_unitary", lambda op, tol: 0.0)
+
+    def split(n):
+        op = phases_under_a_patch(n, rng)
+        factor_end_periodic(op)  # pays the one-time allocations untraced
+        return traced_peak(lambda: factor_end_periodic(op))[1]
+    small, large = split(375), split(750)
+    assert math.log(large / small) / math.log(750 / 375) <= 1.1, (small, large)
 
 
 # -- synthesis ---------------------------------------------------------------------------
