@@ -98,11 +98,11 @@ def _corner_index(op: Operator, tol: float) -> IndexReport:
     columns = np.diagonal(np.cumsum(np.float_power(np.hypot(u.real, u.imag), 2), axis=0))
     trace = float(np.cumsum((np.arange(-k, k) >= 0) - columns)[-1])
 
-    if deviation > tol:
+    if not deviation <= tol:  # a NaN fails every gate
         raise NumericalError(
             f"index {raw!r} deviates from an integer by {deviation:.3e} "
             f"(tolerance {tol:.3e}); input is not a clean banded unitary")
-    if abs(trace - raw) > tol:
+    if not abs(trace - raw) <= tol:
         raise NumericalError(
             f"trace check {trace!r} disagrees with the corner index {raw!r} "
             f"(tolerance {tol:.3e}); input is not a clean banded unitary")
@@ -121,7 +121,7 @@ def conjugating_unitary(q_window: np.ndarray, half: int) -> np.ndarray:
     callers must only rely on the conjugation property.
     """
     q = np.asarray(q_window, dtype=complex)
-    n = 2 * int(half)
+    n = 2 * (half := _index(half))
     if q.shape != (n, n):
         raise ValidationError(f"window matrix must be {n}x{n}")
     herm = 0.5 * (q + q.conj().T)
@@ -252,14 +252,13 @@ def factor_end_periodic(op: Operator, tol: float = CHECK_TOL) -> EndPeriodicSpli
     periodic_part, star = op.background, op.background.adjoint()
     # B B* is I within tol (op's residual), so op B* is I off its envelope's square
     cells = np.arange(-(radius := _envelope(op, star)), radius)
-    finite_part = (_patched(identity(), _rows_product(op, star, cells, cells))
-                   if radius else identity())
+    finite_part = _patched(identity(), _rows_product(op, star, cells, cells))
 
     # the band of F B - U is that of I B - B, exactly 0.0: only the square can differ
     radius = max(_envelope(finite_part, periodic_part), op.patch_radius)
     cells = np.arange(-radius, radius)
-    square = (_excess(_rows_product(finite_part, periodic_part, cells, cells),
-                      window(op, cells[:, None], cells)) if radius else 0.0)
+    square = _excess(_rows_product(finite_part, periodic_part, cells, cells),
+                     window(op, cells[:, None], cells))
     residual = _within("split residual", square, tol)
     return EndPeriodicSplit(finite_part=finite_part,
                             periodic_part=periodic_part, residual=residual)

@@ -364,11 +364,11 @@ def block_diagonal(k: int, repeating: np.ndarray,
     # compare only the central blocks, with repeating as bg stores it: bg owns every other cell
     size, idx, blocks = bg.period, np.arange(bg.period), []
     stored = np.where(_validated(rep := np.asarray(repeating, dtype=complex)), rep, 0)
-    for n, m in sorted(central.items(), key=lambda item: int(item[0])):
+    for n, m in sorted(central.items(), key=lambda item: _index(item[0])):
         if np.shape(m) != (size, size):
             raise ValidationError(f"central block {n} is not {size}x{size}")
         m = np.where(_validated(m := np.asarray(m, dtype=complex)), m, 0)
-        differs, start = np.abs(m - stored) > ZERO_TOL, k + int(n) * size
+        differs, start = np.abs(m - stored) > ZERO_TOL, k + _index(n) * size
         rings = np.maximum(start + idx + 1, -start - idx)[differs.any(0) | differs.any(1)]
         blocks.append((start, m, int(rings.max(initial=0))))
     radius = max(ring for *_, ring in blocks)
@@ -397,10 +397,17 @@ def embed_finite(matrix: np.ndarray) -> Operator:
 
 def _rows_product(a: Operator, b: Operator, rows, cols) -> np.ndarray:
     """Dense (ab)[rows, cols] for a run of rows covering a's patch window, summed
-    over the rows extended by reach(A0): a row of a is nonzero nowhere else."""
-    mid = np.arange(rows[0] - a.background.reach, rows[-1] + a.background.reach + 1)
-    product = window(a, rows[:, None], mid) @ window(b, mid[:, None], cols)
-    product += 0.0  # some BLAS kernels leave a zero sum as -0.0
+    over the rows extended by reach(A0): a row of a is nonzero nowhere else.
+    A product with the identity is a read of a; no rows give a (0, cols) product."""
+    if b is _IDENTITY:
+        product = window(a, rows[:, None], cols)
+    elif len(rows):
+        mid = np.arange(rows[0] - a.background.reach, rows[-1] + a.background.reach + 1)
+        product = window(a, rows[:, None], mid) @ window(b, mid[:, None], cols)
+    else:
+        return np.zeros((0, len(cols)), dtype=complex)
+    # zeros as a sum gives them: some BLAS kernels leave -0.0, and a read keeps a stored one
+    product += 0.0
     return _computed(product)
 
 
@@ -413,8 +420,11 @@ def _envelope(a: Operator, b: Operator) -> int:
 
 
 def _band(a0: PeriodicBandOperator, b0: PeriodicBandOperator, n: int, w: int):
-    """Diagonals -w..w of rows [0, n) of a0 b0: table[i, w + d] = (a0 b0)[i, i + d]."""
+    """Diagonals -w..w of rows [0, n) of a0 b0: table[i, w + d] = (a0 b0)[i, i + d].
+    With b0 the identity they are a0's own, read without a product."""
     rows = np.arange(n)[:, None]
+    if b0 is _IDENTITY:
+        return window(a0, rows, rows + np.arange(-w, w + 1)) + 0.0  # zeros as a sum's
     product = _rows_product(a0, b0, rows[:, 0], np.arange(-w, n + w))
     return product[rows, rows + np.arange(2 * w + 1)]
 
@@ -428,11 +438,8 @@ def multiply(a: Operator, b: Operator) -> Operator:
     """
     a0, b0, radius = a.background, b.background, _envelope(a, b)
     table = _band(a0, b0, lcm(a0.period, b0.period), a0.reach + b0.reach)
-    bg = _periodic(a0.band + b0.band, table)
-    if not radius:
-        return bg
     cells = np.arange(-radius, radius)
-    return _patched(bg, _rows_product(a, b, cells, cells))
+    return _patched(_periodic(a0.band + b0.band, table), _rows_product(a, b, cells, cells))
 
 
 def propagation(op: Operator) -> int:
@@ -457,20 +464,9 @@ def _excess(product: np.ndarray, target) -> float:
 # the background block may compare every one of its cells.
 
 def max_entry_difference(a: Operator, b: Operator) -> float:
-    """sup |a_ij - b_ij|, exactly: over the diagonals of one common period out
-    to the wider reach, and over the square of the larger patch radius; a's
-    values at or below ZERO_TOL read as 0."""
-    a0, b0 = a.background, b.background
-    n, w = lcm(a0.period, b0.period), max(a0.reach, b0.reach)
-    rows = np.arange(n)[:, None]
-    diagonals = rows + np.arange(-w, w + 1)
-    residual = _excess(window(a0, rows, diagonals), window(b0, rows, diagonals))
-    radius = max(a.patch_radius, b.patch_radius)
-    if not radius:
-        return residual
-    cells = np.arange(-radius, radius)
-    return max(residual, _excess(window(a, cells[:, None], cells),
-                                 window(b, cells[:, None], cells)))
+    """sup |a_ij - b_ij|, exactly: the residual of a times the identity against
+    b, whose products are reads of a; a's values at or below ZERO_TOL read as 0."""
+    return _product_residual(a, _IDENTITY, b)
 
 
 def _product_residual(a: Operator, b: Operator, c: Operator) -> float:
@@ -481,10 +477,7 @@ def _product_residual(a: Operator, b: Operator, c: Operator) -> float:
     n, w = lcm(a0.period, b0.period, c0.period), max(a0.reach + b0.reach, c0.reach)
     rows = np.arange(n)[:, None]
     residual = _excess(_band(a0, b0, n, w), window(c0, rows, rows + np.arange(-w, w + 1)))
-    radius = max(_envelope(a, b), c.patch_radius)
-    if not radius:
-        return residual
-    cells = np.arange(-radius, radius)
+    cells = np.arange(-(radius := max(_envelope(a, b), c.patch_radius)), radius)
     return max(residual, _excess(_rows_product(a, b, cells, cells),
                                  window(c, cells[:, None], cells)))
 
@@ -514,7 +507,7 @@ def unitarity_residual(op: Operator) -> float:
 
 def require_unitary(op: Operator, tol: float = CHECK_TOL) -> float:
     res = unitarity_residual(op)
-    if res > tol:
+    if not res <= tol:  # a NaN fails every gate
         raise NumericalError(f"operator is not unitary: residual {res:.3e} > {tol:.3e}")
     return res
 
@@ -527,7 +520,7 @@ def apply_state(op: Operator, amplitudes: Mapping[int, complex]) -> Dict[int, co
     ValidationError on an amplitude that is not finite."""
     _validated(values := np.array(list(amplitudes.values()), dtype=complex))
     # a zero amplitude is dropped: adding its product could turn a sum's -0.0 to 0.0
-    psi = {int(j): v for j, v in zip(amplitudes, values.tolist()) if v}
+    psi = {_index(j): v for j, v in zip(amplitudes, values.tolist()) if v}
     reach, bg, r = op.prop_bound(), op.background, op.patch_radius
     out: Dict[int, complex] = {}
     for j, v in psi.items():

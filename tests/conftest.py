@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from fpu.cli import run_command
-from fpu.operators import Operator
+from fpu.matutil import haar_unitary
+from fpu.operators import Operator, PeriodicBandOperator, embed_finite, multiply
 from fpu.sequences import EventuallyPeriodicSeq
 
 
@@ -30,6 +31,12 @@ def dense_window(op: Operator, lo: int, hi: int) -> np.ndarray:
     """Dense matrix of the operator over [lo, hi)^2; the brute-force oracle."""
     return np.array([[op.entry(i, j) for j in range(lo, hi)]
                      for i in range(lo, hi)], dtype=complex)
+
+
+def phases_under_a_patch(n, rng):
+    """The period-n diagonal of unit phases times a Haar 8 x 8 patch: radius 4."""
+    phases = {(i, 0): np.exp(2j * np.pi * i / n) for i in range(n)}
+    return multiply(PeriodicBandOperator(n, 0, phases), embed_finite(haar_unitary(8, rng)))
 
 
 def traced_peak(build):

@@ -198,6 +198,9 @@ PARSER_MESSAGES = [
     ("op", "period x\nband 0\nEND", "line 2: expected integer, got 'x'"),
     ("op", "period 1\nband 0\nbg 0 0 a 0\nEND", "line 4: expected number, got 'a'"),
     ("op", "period 1\nband 0\nEND\nband 0", "line 5: content after END"),
+    # a blank line is skipped, and counted
+    ("op", "period 1\n\nband 0\nEND\nband 0", "line 6: content after END"),
+    ("op", "period 1\nband -1\nEND", "band must be >= 0"),
     ("op", "period 1\nband 0", "missing END line"),
     ("op", "foo 1\nEND", "line 2: unknown directive 'foo'"),
     ("seq", "mid 1\nEND", "line 2: unknown directive 'mid'"),

@@ -19,9 +19,10 @@ from fpu.matutil import haar_unitary, polar_unitary
 from fpu.operators import (EndPeriodicOperator, PeriodicBandOperator, _patched,
                            _product_residual, _rows_product, block_diagonal, delta_embed,
                            embed_finite, identity, make_shift, max_entry_difference,
-                           multiply, propagation, unitarity_residual, window)
+                           multiply, propagation, require_unitary, unitarity_residual,
+                           window)
 
-from conftest import dense_window, traced_peak
+from conftest import dense_window, phases_under_a_patch, traced_peak
 
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -362,6 +363,14 @@ def test_gates_refuse_nan():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="^window matrix is not Hermitian$"):
             conjugating_unitary(np.full((2, 2), np.nan), 1)
+    # a NaN tolerance passes no operator, here one of unitarity residual 0.49
+    leaky, nan = PeriodicBandOperator(1, 1, {(0, 0): 0.7, (0, 1): 0.7}), float("nan")
+    with pytest.raises(NumericalError, match=r"^index 0\.48.* by 4\.900e-01 \(tolerance nan\)"):
+        index(leaky, nan)
+    for gate in require_unitary, retract_periodic:
+        with pytest.raises(NumericalError,
+                           match="^operator is not unitary: residual 4.900e-01 > nan$"):
+            gate(leaky, nan)
 
 
 @pytest.mark.parametrize("patch_blocks", [0, 1], ids=["periodic", "end-periodic"])
@@ -485,13 +494,6 @@ def test_factor_keeps_the_patch_of_the_whole_product(end_periodic, rng):
         assert split.residual == _product_residual(finite, op.background, op)
         if not end_periodic:
             assert serialize_operator(split.finite_part) == serialize_operator(identity())
-
-
-
-def phases_under_a_patch(n, rng):
-    """The period-n diagonal of unit phases times a Haar 8 x 8 patch: radius 4."""
-    phases = {(i, 0): np.exp(2j * np.pi * i / n) for i in range(n)}
-    return multiply(PeriodicBandOperator(n, 0, phases), embed_finite(haar_unitary(8, rng)))
 
 
 def test_factor_multiplies_nothing_by_the_identity(monkeypatch, rng):

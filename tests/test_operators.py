@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from fpu.cli import parse_operator_text, run_command, serialize_operator
 from fpu.errors import ValidationError
-from fpu.gnvw import decompose, factor_end_periodic, index, synth_random
+from fpu.gnvw import (conjugating_unitary, decompose, factor_end_periodic, index,
+                      synth_random)
 from fpu.matutil import haar_unitary
 from fpu.operators import (EndPeriodicOperator, PeriodicBandOperator,
                            apply_state, block_diagonal, delta_embed,
@@ -20,7 +21,7 @@ from fpu.operators import (EndPeriodicOperator, PeriodicBandOperator,
                            unitarity_residual, window)
 from fpu.operators import _patched, _product_residual
 
-from conftest import dense_window, traced_peak
+from conftest import dense_window, phases_under_a_patch, traced_peak
 
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 ROT = np.array([[0.6, 0.8], [-0.8, 0.6]], dtype=complex)
@@ -95,6 +96,9 @@ FLOAT_ARGUMENTS = {
     "band": lambda: PeriodicBandOperator(1, 1.0, {(0, 1): 1.0}),
     "patch_radius": lambda: EndPeriodicOperator(identity(), 1.5, {}),
     "delta_embed": lambda: delta_embed(np.eye(2), 0.5),
+    "apply_state": lambda: apply_state(identity(), {1.7: 1.0}),
+    "block_diagonal": lambda: block_diagonal(0, np.eye(2), {0.9: -np.eye(2)}),
+    "conjugating_unitary": lambda: conjugating_unitary(np.diag([0, 1]), 1.5),
 }
 
 
@@ -104,16 +108,27 @@ def test_integer_arguments_refuse_a_float(call):
         call()
 
 
+def test_integer_arguments_refuse_a_string_or_a_numpy_float():
+    # neither is parsed nor truncated
+    with pytest.raises(ValidationError, match="^expected an integer, got '3'$"):
+        apply_state(identity(), {"3": 1.0})
+    with pytest.raises(ValidationError, match=r"^expected an integer, got np.float64\(1.0\)$"):
+        conjugating_unitary(np.diag([0, 1]), np.float64(1.0))
+
+
 @pytest.mark.parametrize("k", [np.int64(1), True], ids=["int64", "bool"])
 def test_integer_arguments_take_numpy_integers_and_bools(k):
     assert make_shift(k) == make_shift(1)
     assert PeriodicBandOperator(k, k, {(0, 1): 1.0}) == make_shift(1)
     assert EndPeriodicOperator(identity(), k, {(0, 0): -1.0}).patch_radius == 1
     assert delta_embed(SWAP, k) == delta_embed(SWAP, 1)
+    assert apply_state(identity(), {k: 1.0}) == {1: 1.0}
+    assert block_diagonal(0, SWAP, {k: ROT}) == block_diagonal(0, SWAP, {1: ROT})
 
 
 def test_identity_is_one_immutable_operator():
     assert identity() is identity()
+    assert identity().__eq__(1) is NotImplemented and identity() != 1
     with pytest.raises(AttributeError, match="^PeriodicBandOperator is immutable$"):
         identity().band = 1
     with pytest.raises(ValueError, match="read-only"):
@@ -607,6 +622,19 @@ def test_equality_costs_the_band_not_the_period_squared():
         return traced_peak(lambda: op == op)
     (small_equal, small), (large_equal, large) = compared(375), compared(750)
     assert small_equal and large_equal
+    assert math.log(large / small) / math.log(750 / 375) <= 1.1, (small, large)
+
+
+def test_a_product_with_the_identity_reads_the_operand(rng):
+    # op I reads op's diagonals and its patch square; a product would fill an
+    # n x n window.  Traced peak exponent in n.
+    def product(n):
+        op = phases_under_a_patch(n, rng)
+        multiply(op, identity())  # pays the one-time allocations untraced
+        result, peak = traced_peak(lambda: multiply(op, identity()))
+        assert serialize_operator(result) == serialize_operator(op)
+        return peak
+    small, large = product(375), product(750)
     assert math.log(large / small) / math.log(750 / 375) <= 1.1, (small, large)
 
 

@@ -83,6 +83,9 @@ def test_constructor_takes_integers_only():
                               [True, np.int32(7)], (np.uint8(4), False))
     assert a == EventuallyPeriodicSeq([1, 2], -3, [1, 7], [4, 0])
     assert {type(v) for v in (a.offset, *a.left, *a.core, *a.right)} == {int}
+    with pytest.raises(AttributeError, match="^EventuallyPeriodicSeq is immutable$"):
+        a.offset = 0
+    assert a.__eq__((1, 2)) is NotImplemented and a != (1, 2)
 
 
 A = EventuallyPeriodicSeq([1, 2], -3, [5, 6, 7], [0])
