@@ -517,7 +517,8 @@ def run_command(argv: Sequence[str]) -> CommandResult:
     except NumericalError as exc:
         code, message = 2, str(exc)
     except MemoryError as exc:  # a size read from the input, too large to allocate
-        code, message = 2, f"input too large to evaluate in memory: {exc}"
+        reason = str(exc) or "out of memory"  # Python's own MemoryError carries none
+        code, message = 2, f"input too large to evaluate in memory: {reason}"
     return CommandResult(exit_code=code, stdout=out.text(),
                          stderr=f"error: {message}\n")
 

@@ -115,23 +115,22 @@ def conjugating_unitary(q_window: np.ndarray, half: int) -> np.ndarray:
     """Unitary V with V* Q V = P on a window of size 2*half.
 
     q_window is the compression of an orthogonal projection Q to the span of
-    e_{-half}..e_{half-1}; P is the half-space projection, diag(0..0, 1..1)
-    on that window.  Columns 0..half-1 of the result span ker Q and columns
-    half..2*half-1 span ran Q; any such choice satisfies the identity, so
-    callers must only rely on the conjugation property.
+    e_{-half}..e_{half-1}, or a stack of them on its last two axes, which each
+    gate checks whole; P is the half-space projection diag(0..0, 1..1).  Columns
+    0..half-1 of each result span ker Q and columns half..2*half-1 span ran Q;
+    any such choice satisfies the identity, so callers rely on that alone.
     """
     q = np.asarray(q_window, dtype=complex)
     n = 2 * (half := _index(half))
-    if q.shape != (n, n):
+    if q.shape[-2:] != (n, n):
         raise ValidationError(f"window matrix must be {n}x{n}")
-    herm = 0.5 * (q + q.conj().T)
+    herm = 0.5 * (q + q.conj().swapaxes(-1, -2))
     if not np.max(np.abs(q - herm)) <= HARD_TOL:  # a NaN fails every gate
         raise NumericalError("window matrix is not Hermitian")
     eigenvalues, vectors = np.linalg.eigh(herm)
     if not np.max(np.minimum(np.abs(eigenvalues), np.abs(eigenvalues - 1.0))) <= HARD_TOL:
         raise NumericalError("window matrix is not a projection")
-    rank = int(np.count_nonzero(eigenvalues > 0.5))
-    if rank != half:
+    if np.any(np.count_nonzero(eigenvalues > 0.5, axis=-1) != half):
         raise NumericalError("trace mismatch")
     return vectors
 
@@ -191,14 +190,13 @@ def decompose(op: Operator, tol: float = CHECK_TOL) -> DecompositionResult:
     if _corner_index(op, INDEX_TOL).rounded != 0:
         raise NumericalError("nonzero index")
 
-    half = _block_scale(op)
-    block = 2 * half
+    block = 2 * (half := _block_scale(op))
     # W's eigenvector blocks: the background's tile the grid offset by -half,
     # and an end-periodic op replaces the block over its patch
     bg = op.background
-    w_blocks, w_norms = _snap_blocks(np.stack([
-        conjugating_unitary(_projection_window(u, half), half).conj().T
-        for u in ([bg] if op is bg else [bg, op])]))
+    w_blocks, w_norms = _snap_blocks(conjugating_unitary(np.stack([
+        _projection_window(u, half) for u in ([bg] if op is bg else [bg, op])]),
+        half).conj().swapaxes(-1, -2))
     w_bg, w_central = w_blocks[0], dict(zip([0], w_blocks[1:]))
     w_op = block_diagonal(-half, w_bg, central=w_central)
 
@@ -208,9 +206,13 @@ def decompose(op: Operator, tol: float = CHECK_TOL) -> DecompositionResult:
     rows = [0] if op is bg else [-1, 0, 1]
     starts = np.array(rows) * block
     cols = starts[:, None] - half + np.array([0, block])  # W's blocks m and m + 1
-    u = _tiles(op, starts[:, None], cols, block)  # read before W*'s stack, as large
-    v_raw = u @ np.array([[w_central.get(m + k, w_bg) for k in range(2)]
-                          for m in rows]).conj().swapaxes(-1, -2)
+    u = _tiles(op, starts[:, None], cols, block)
+    w_star = np.array([w_central.get(m, w_bg) for m in range(rows[0], rows[-1] + 2)]
+                      ).conj().swapaxes(-1, -2)  # W*'s distinct blocks
+    v_raw = np.empty_like(u)  # U's tiles on W's blocks m and m + 1 times their W*
+    np.matmul(u[:, 0], w_star[:-1], out=v_raw[:, 0])
+    np.matmul(u[:, 1], w_star[1:], out=v_raw[:, 1])
+    del w_star  # free it before V's blocks are checked
     v_raw[np.abs(v_raw) <= ZERO_TOL] = 0  # as a built product stores them
     # V's block m is the middle b columns of block-row m, and the rest leaks
     leakage = _within("off-block leakage", float(max(np.abs(v_raw[:, 0, :, :half]).max(),

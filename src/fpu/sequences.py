@@ -135,21 +135,17 @@ class EventuallyPeriodicSeq:
 
     def scale(self, n: int) -> "EventuallyPeriodicSeq":
         n = _index(n)
-        return EventuallyPeriodicSeq._of(tuple([n * v for v in self.left]), self.offset,
-                                         tuple([n * v for v in self.core]),
-                                         tuple([n * v for v in self.right]))
+        return from_window([n * v for v in self.left + self.core + self.right], self.offset,
+                           len(self.left), len(self.right))
 
     def exact_div(self, n: int) -> "EventuallyPeriodicSeq":
         """Divide every value by n; all values must be divisible exactly."""
-        n = _index(n)
-        if n == 0:
+        if (n := _index(n)) == 0:
             raise ValidationError("divisor must be nonzero")
         vals = self.left + self.core + self.right
         if any(v % n for v in vals):
             raise ValidationError(f"sequence is not divisible by {n}")
-        return EventuallyPeriodicSeq._of(tuple([v // n for v in self.left]), self.offset,
-                                         tuple([v // n for v in self.core]),
-                                         tuple([v // n for v in self.right]))
+        return from_window([v // n for v in vals], self.offset, len(self.left), len(self.right))
 
     def shift(self, k: int) -> "EventuallyPeriodicSeq":
         """Sequence r with r_j = a_{j+k} (k=1 is the left shift)."""
@@ -239,7 +235,10 @@ def _canonicalize(left, offset, core, right):
 def _cycle(word: tuple, start: int, stop: int) -> tuple:
     """(word[start % p], ..., word[(stop - 1) % p]) for p = len(word), () if stop <= start."""
     s, k = start % len(word), max(stop - start, 0)
-    return (word * -(-(s + k) // len(word)))[s:s + k]
+    try:
+        return (word * -(-(s + k) // len(word)))[s:s + k]
+    except (OverflowError, MemoryError):  # past the index range or the address space
+        raise MemoryError(f"a window of {k} values") from None
 
 
 def _window(left, offset, core, right, lo, hi) -> tuple:

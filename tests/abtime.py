@@ -13,14 +13,15 @@ perfbench/workloads.py, imported with OLD's src first on sys.path; that file
 is only read.
 
 First each command runs once on each tree. The timer exits 1 if an exit code,
-stdout, stderr or written file differs between the trees, or if a result
-fails the script's own check. Then each pass times every command on both
-trees, one right after the other; the order flips every pass, and the process
-moves to the next CPU it may use every pass, as perfbench/run.py does, so the
-host's slow phases hit both trees alike. A command's time is its fastest over
-the passes. For each tree it prints p50 and p90 of those times in ms and
-cmds_per_s, computed as perfbench/run.py computes them, then the median over
-commands, and over each kind of command, of the speedup OLD time / NEW time.
+stdout, stderr or written file differs between the trees, naming which, or
+if a result fails the script's own check. Then each pass times every command
+on both trees, one right after the other; the order flips every pass, and the
+process moves to the next CPU it may use every pass, as perfbench/run.py
+does, so the host's slow phases hit both trees alike. A command's time is its
+fastest over the passes. For each tree it prints p50 and p90 of those times
+in ms and cmds_per_s, computed as perfbench/run.py computes them, then the
+median over commands, and over each kind of command, of the speedup OLD
+time / NEW time.
 
 A claim of a few percent needs runs in both orders, OLD NEW and NEW OLD: one
 order of this timer once read a ~2% speedup that an A/A run of one tree did
@@ -75,9 +76,13 @@ def _same_results(script, clis):
     problems = []
     for cmd in script.commands:
         (a, files_a), (b, files_b) = (_run(cli, cmd)[1:] for cli in clis)
-        if (a.exit_code, a.stdout, a.stderr, files_a) != (b.exit_code, b.stdout,
-                                                          b.stderr, files_b):
-            problems.append(f"{' '.join(cmd.argv)}: the trees' results differ")
+        parts = [("exit code", a.exit_code, b.exit_code), ("stdout", a.stdout, b.stdout),
+                 ("stderr", a.stderr, b.stderr)]
+        parts += [(f"output file {path.name}", x, y)
+                  for path, x, y in zip(cmd.outputs, files_a, files_b)]
+        differ = [name for name, x, y in parts if x != y]
+        if differ:
+            problems.append(f"{' '.join(cmd.argv)}: the trees differ in {', '.join(differ)}")
         problem = cmd.verify(cmd.outcome(b))  # b's files are still on disk
         if problem is not None:
             problems.append(f"{' '.join(cmd.argv)}: {problem}")

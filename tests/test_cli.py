@@ -381,6 +381,29 @@ def test_size_numpy_cannot_address_exits_two():
     assert result.stderr.startswith("error: input too large to evaluate in memory")
 
 
+@pytest.mark.parametrize("offset", [10 ** 18, 10 ** 19], ids=["address-space", "index-range"])
+def test_seq_add_of_cores_too_far_apart_exits_two(tmp_path, offset):
+    # the sum cycles const1.seq's right tail up to the far core: 10**18 values
+    # pass the address space and 10**19 the index range, so each window is
+    # refused before any memory is touched and named in the message
+    path = tmp_path / "far.seq"
+    path.write_text(f"EPSEQ 1\nleft 0\ncore {offset} 5\nright 0\nEND\n")
+    result = run_command(["seq", "add", fixture("const1.seq"), str(path)])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == ("error: input too large to evaluate in memory: "
+                             f"a window of {offset + 2} values\n")
+
+
+def test_memory_error_without_a_reason_is_given_one(monkeypatch):
+    # Python's own MemoryError carries no message; the error line still ends in one
+    def exhausted(seq):
+        raise MemoryError
+    monkeypatch.setattr(cli, "serialize_seq", exhausted)
+    result = run_command(["seq", "shift", fixture("const1.seq"), "0"])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: input too large to evaluate in memory: out of memory\n"
+
+
 @pytest.mark.parametrize("sizes", [
     "period 100000000000000000000000\nband 0",
     "period 1\nband 0\npatch-radius 100000000000000000000",

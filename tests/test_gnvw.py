@@ -3,6 +3,7 @@ brute-force multiplication over verification windows; block membership of the
 factors is asserted structurally, never through specific matrix entries."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpu import gnvw, operators
-from fpu.cli import serialize_operator
+from fpu.cli import run_command, serialize_operator
 from fpu.errors import NumericalError, ValidationError
 from fpu.gnvw import (SNAP_TOL, _snap_blocks, conjugating_unitary, decompose,
                       factor_end_periodic, index, retract_periodic, synth_random)
@@ -160,6 +161,35 @@ def test_conjugating_unitary_rejects_a_wrong_shape_and_non_hermitian_window():
         conjugating_unitary(np.eye(3), 1)
     with pytest.raises(NumericalError, match="^window matrix is not Hermitian$"):
         conjugating_unitary(np.array([[0, 1], [0, 0]], dtype=complex), 1)
+
+
+def _projection_windows(rng, half, count):
+    """The projection windows of count seeded Haar unitaries of size 2 half."""
+    return np.stack([gnvw._projection_window(embed_finite(haar_unitary(2 * half, rng)), half)
+                     for _ in range(count)])
+
+
+def test_conjugating_unitary_on_a_stack_is_one_window_at_a_time(rng):
+    windows = _projection_windows(rng, 3, 4)
+    stacked = conjugating_unitary(windows, 3)
+    assert stacked.shape == windows.shape
+    assert stacked.tobytes() == np.stack([conjugating_unitary(q, 3) for q in windows]).tobytes()
+    with pytest.raises(ValidationError, match="^window matrix must be 4x4$"):
+        conjugating_unitary(windows, 2)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda q: q + np.triu(np.full_like(q, 1e-3), 1), "window matrix is not Hermitian"),
+    (lambda q: 0.9 * q, "window matrix is not a projection"),
+    (lambda q: np.eye(len(q)), "trace mismatch"),
+], ids=["hermitian", "projection", "rank"])
+def test_each_gate_covers_the_whole_stack(rng, bad, message):
+    # one bad window among good ones fails the stack with the 2-D message
+    windows = _projection_windows(rng, 3, 4)
+    conjugating_unitary(windows, 3)
+    windows[2] = bad(windows[2])
+    with pytest.raises(NumericalError, match=f"^{message}$"):
+        conjugating_unitary(windows, 3)
 
 
 # -- decomposition -------------------------------------------------------------------
@@ -373,6 +403,28 @@ def test_gates_refuse_nan():
             gate(leaky, nan)
 
 
+def test_decompose_peaks_at_under_twenty_of_its_blocks(tmp_path):
+    # stress.py's corner-30: the identity with its patch diagonal's end ones
+    # moved to (-30, 29) and (29, -30), decomposed on blocks of b = 118.  At
+    # its peak the command holds U's six tiles, U W*'s six blocks, W's two and
+    # W*'s four distinct ones: about 18.6 b^2 complex cells, where W*'s
+    # six-block grid and its conjugated copy read 20.5
+    radius = 30
+    lines = ["FPUOP 1", "period 1", "band 0", f"patch-radius {radius}", "bg 0 0 1.0 0.0"]
+    lines += [f"patch {i} {i} 1.0 0.0" for i in range(1 - radius, radius - 1)]
+    lines += [f"patch {-radius} {radius - 1} 1.0 0.0", f"patch {radius - 1} {-radius} 1.0 0.0"]
+    path = tmp_path / "corner.op"
+    path.write_text("\n".join([*lines, "END", ""]))
+    argv = ["op", "decompose", str(path), "-o", str(tmp_path / "v.op"), str(tmp_path / "w.op")]
+    run_command(argv)  # pays the one-time allocations untraced
+    result, peak = traced_peak(lambda: run_command(argv))
+    assert (result.exit_code, result.stderr) == (0, "")
+    block = int(re.search(r"^block-size (\d+)$", result.stdout, re.M)[1])
+    assert block == 118
+    cells = peak / (np.dtype(complex).itemsize * block ** 2)
+    assert cells <= 19.5, cells
+
+
 @pytest.mark.parametrize("patch_blocks", [0, 1], ids=["periodic", "end-periodic"])
 def test_decompose_reads_its_input_three_times(patch_blocks, monkeypatch):
     # the index window, the projection window and one read of the block-rows,
@@ -528,7 +580,7 @@ def test_factor_costs_the_patch_not_the_period_squared(monkeypatch, rng):
 def test_synth_deterministic():
     a = synth_random(1, 2, 2, 1, seed=99)
     b = synth_random(1, 2, 2, 1, seed=99)
-    from fpu.cli import serialize_operator
+    from fpu.cli import run_command, serialize_operator
     assert serialize_operator(a) == serialize_operator(b)
 
 

@@ -54,6 +54,29 @@ def test_abtime_times_a_tree_that_imports_inside_a_handler(tmp_path):
     assert "median speedup (A time / B time): " in proc.stdout
 
 
+# a run_command whose stdout gains one character
+LONGER_STDOUT = '''
+
+_run_command = run_command
+
+
+def run_command(argv):
+    result = _run_command(argv)
+    return CommandResult(result.exit_code, result.stdout + "x", result.stderr)
+'''
+
+
+def test_abtime_names_what_differs_between_the_trees(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    with open(tmp_path / "src" / "fpu" / "cli.py", "a") as cli:
+        cli.write(LONGER_STDOUT)
+    proc = _abtime(".", tmp_path, "factorize")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.endswith(": the trees differ in stdout") for line in lines), lines
+
+
 def test_abtime_names_a_checkout_without_the_package(tmp_path):
     proc = _abtime(".", tmp_path, "factorize")
     assert proc.returncode == 1
